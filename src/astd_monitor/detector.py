@@ -368,10 +368,7 @@ def make_registry(config: DetectorConfig) -> dict[str, Callable]:
 
 def build_detector(config: DetectorConfig) -> AstdInstance:
     """Validate the config and build a fresh monitor instance."""
-    try:
-        config.validate()
-    except ConfigError:
-        raise
+    config.validate()
     return build(detector_spec(), make_registry(config))
 
 

@@ -6,10 +6,11 @@ minutes so that classification is a plain array lookup. Densities use the
 standard Gaussian kernel; bandwidth defaults to the Silverman rule of
 thumb with a one-minute floor.
 
-Two evaluation strategies produce the same sums to float64 accuracy: a
-direct per-sample broadcast for small samples, and minute-binning plus a
-discrete convolution for large ones (samples are integer minutes, so the
-binned form is exact, not an approximation).
+Samples are integer minutes, so the kernel is only ever evaluated at the
+2879 integer offsets -1439..1439: each fit computes that table once. Small
+samples sum one table slice per sample, in sample order; large ones bin the
+samples per minute and convolve the counts with the table (exact, not an
+approximation). The two sums agree to float64 accuracy but not bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +26,17 @@ from astd_monitor.calendar_periods import MinuteOfDay, Period
 GRID_MINUTES = 1440
 MIN_BANDWIDTH = 1.0
 
-# Below this sample count the broadcast path is cheaper than convolution.
+# Largest sample summed slice by slice instead of by convolution. Each path's
+# summation order sets the low bits of the densities written to alerts, so
+# moving this crossover changes alert bytes even where it would save time.
 _DIRECT_PATH_MAX = 256
+
+# |offset| for every grid-to-sample offset -1439..1439 (index 1439 is offset
+# 0), and the same folded the shortest way around midnight.
+_OFFSETS = np.abs(np.arange(-(GRID_MINUTES - 1), GRID_MINUTES, dtype=np.float64))
+_CIRCULAR_OFFSETS = np.minimum(_OFFSETS, GRID_MINUTES - _OFFSETS)
+_OFFSETS.setflags(write=False)
+_CIRCULAR_OFFSETS.setflags(write=False)
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -74,13 +84,29 @@ def select_bandwidth(sample: Sequence[MinuteOfDay]) -> float:
     h = 0.9 * min(sigma, IQR / 1.34) * m**(-1/5). Degenerate samples
     (zero spread, or a single point) clamp to the floor.
     """
-    if len(sample) == 0:
+    m = len(sample)
+    if m == 0:
         raise ValueError("cannot select a bandwidth for an empty sample")
+    # The reductions ndarray.std makes, in the same (pairwise) order.
     x = np.asarray(sample, dtype=np.float64)
-    sigma = float(x.std())
-    q75, q25 = np.percentile(x, [75, 25])
-    h = 0.9 * min(sigma, (q75 - q25) / 1.34) * len(x) ** -0.2
+    dev = x - np.add.reduce(x) / m
+    sigma = math.sqrt(np.add.reduce(dev * dev) / m)
+    ordered = sorted(sample)
+    iqr = _percentile(ordered, 0.75) - _percentile(ordered, 0.25)
+    h = 0.9 * min(sigma, iqr / 1.34) * m ** -0.2
     return max(h, MIN_BANDWIDTH)
+
+
+def _percentile(ordered: Sequence[MinuteOfDay], q: float) -> float:
+    """np.percentile's default (linear) method on an already sorted sample,
+    with the same float operations, so the result is bit for bit the same."""
+    pos = (len(ordered) - 1) * q
+    lo = math.floor(pos)
+    below = float(ordered[lo])
+    above = float(ordered[min(lo + 1, len(ordered) - 1)])
+    t = pos - lo
+    step = above - below
+    return above - step * (1 - t) if t >= 0.5 else below + step * t
 
 
 def _kernel_over(dist: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -114,18 +140,16 @@ def fit_profile(
     if x.size and (x.min() < 0 or x.max() >= GRID_MINUTES):
         raise ValueError("sample minutes must lie in [0, 1439]")
 
+    kernel = _kernel_over(_CIRCULAR_OFFSETS if circular else _OFFSETS, bandwidth)
     if m <= _DIRECT_PATH_MAX:
-        grid = np.arange(GRID_MINUTES, dtype=np.float64)
-        diff = np.abs(grid[np.newaxis, :] - x[:, np.newaxis].astype(np.float64))
-        if circular:
-            diff = np.minimum(diff, GRID_MINUTES - diff)
-        dens = _kernel_over(diff, bandwidth).sum(axis=0) / (m * bandwidth)
+        # Row i is the kernel centred on x_i, read off the table. Summing the
+        # stacked rows over axis 0 adds the samples in sample order, and the
+        # densities' low bits depend on that order.
+        last = GRID_MINUTES - 1
+        rows = np.array([kernel[last - xi : last - xi + GRID_MINUTES] for xi in x.tolist()])
+        dens = rows.sum(axis=0) / (m * bandwidth)
     else:
         counts = np.bincount(x, minlength=GRID_MINUTES).astype(np.float64)
-        offsets = np.abs(np.arange(-(GRID_MINUTES - 1), GRID_MINUTES, dtype=np.float64))
-        if circular:
-            offsets = np.minimum(offsets, GRID_MINUTES - offsets)
-        kernel = _kernel_over(offsets, bandwidth)
         # Trim exact-zero tails (exp underflow); dropping them cannot change
         # any sum, and it shortens the convolution a lot for small bandwidths.
         nonzero = np.flatnonzero(kernel)

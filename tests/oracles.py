@@ -1,7 +1,10 @@
 """Independent reference implementations the tests compare the package
 against. Everything here is deliberately written with different tools and
 code shapes than the package (statistics module, per-sample accumulation,
-straight-line window replay) so agreement is meaningful."""
+straight-line window replay) so agreement is meaningful. The exceptions
+are ``broadcast_kde`` and ``silverman_numpy``: they keep the package's
+former arithmetic so that tests can require equal bits, not just close
+values, because alert records carry the density's last digits."""
 
 from __future__ import annotations
 
@@ -43,6 +46,30 @@ def naive_kde_pure(sample, bandwidth, circular=False):
             terms.append(math.exp(-0.5 * (dist / bandwidth) ** 2))
         out.append(math.fsum(terms) / (len(sample) * bandwidth * SQRT_TWO_PI))
     return out
+
+
+def broadcast_kde(sample, bandwidth, circular=False):
+    """The package's former small-sample fit, kept verbatim as a bit-exact
+    reference: the kernel over an m x 1440 broadcast of grid-to-sample
+    distances, summed over the sample axis."""
+    x = np.asarray(sample, dtype=np.int64)
+    grid = np.arange(GRID, dtype=np.float64)
+    diff = np.abs(grid[np.newaxis, :] - x[:, np.newaxis].astype(np.float64))
+    if circular:
+        diff = np.minimum(diff, GRID - diff)
+    z = diff / bandwidth
+    kernel = np.exp(-0.5 * z * z) / SQRT_TWO_PI
+    return kernel.sum(axis=0) / (len(sample) * bandwidth)
+
+
+def silverman_numpy(sample):
+    """The package's former bandwidth rule, kept verbatim as a bit-exact
+    reference: ndarray.std and np.percentile, floored at 1.0."""
+    x = np.asarray(sample, dtype=np.float64)
+    sigma = float(x.std())
+    q75, q25 = np.percentile(x, [75, 25])
+    h = 0.9 * min(sigma, (q75 - q25) / 1.34) * len(x) ** -0.2
+    return max(h, 1.0)
 
 
 def _quantile(sorted_vals, q):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from astd_monitor.kde import (
     GRID_MINUTES,
@@ -16,7 +16,13 @@ from astd_monitor.kde import (
     select_bandwidth,
 )
 
-from oracles import naive_kde, naive_kde_pure, silverman_reference
+from oracles import (
+    broadcast_kde,
+    naive_kde,
+    naive_kde_pure,
+    silverman_numpy,
+    silverman_reference,
+)
 
 rng = np.random.default_rng(20220625)
 
@@ -66,6 +72,46 @@ def test_bandwidth_matches_reference_on_random_samples():
             silverman_reference(sample), rel=1e-9)
 
 
+# Alert records carry the density, so the bandwidth rule must keep every bit
+# of the former ndarray.std / np.percentile computation, not just agree
+# to a tolerance.
+
+@st.composite
+def shaped_samples(draw, max_size):
+    """Samples up to ``max_size`` minutes, drawn from numpy by seed so large
+    sizes stay cheap, in shapes from uniform to a few repeated minutes."""
+    m = draw(st.integers(1, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "normal", "few"]))
+    if shape == "uniform":
+        x = rng.integers(0, GRID_MINUTES, size=m)
+    elif shape == "normal":
+        x = rng.normal(rng.uniform(0, GRID_MINUTES), rng.uniform(0.3, 300.0), size=m)
+        x = np.clip(x.round(), 0, GRID_MINUTES - 1)
+    else:
+        x = rng.choice(rng.integers(0, GRID_MINUTES, size=3), size=m)
+    return x.astype(int).tolist()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(shaped_samples(6000),
+                 st.lists(st.integers(0, GRID_MINUTES - 1), min_size=1, max_size=40)))
+def test_bandwidth_is_bit_exact_with_numpy_std_and_percentile(sample):
+    assert select_bandwidth(sample) == silverman_numpy(sample)
+
+
+@pytest.mark.parametrize("sample", [
+    [600],                                  # one point
+    [720] * 6000,                           # all points equal
+    [0] * 40 + [1439] * 2,                  # zero IQR, sigma > 0
+    [300] * 5 + [301] * 90 + [1200] * 5,    # zero IQR in the middle
+    list(range(0, GRID_MINUTES, 7)),        # sigma term is the smaller
+    [600, 700] * 20 + [0, 1439],            # IQR term is the smaller
+])
+def test_bandwidth_is_bit_exact_on_degenerate_samples(sample):
+    assert select_bandwidth(sample) == silverman_numpy(sample)
+
+
 # --------------------------------------------------------------------------
 # fit_profile: correctness against the naive oracles
 # --------------------------------------------------------------------------
@@ -95,6 +141,25 @@ def test_fit_matches_oracle_across_both_code_paths(m, circular):
     profile = fit_profile(sample, h, circular=circular)
     expected = naive_kde(sample, h, circular=circular)
     assert np.max(np.abs(profile.densities - expected)) <= 1e-12
+
+
+# The direct path (m <= 256) must reproduce the former broadcast bit for bit,
+# for Silverman bandwidths and for fixed ones below the one-minute floor, at
+# it, and wider than the whole day.
+bandwidths = st.one_of(st.none(), st.sampled_from([0.5, 1.0]),
+                       st.floats(1.0, 200.0), st.floats(1441.0, 1e9))
+
+
+@settings(deadline=None, max_examples=150)
+@given(shaped_samples(256), bandwidths, st.booleans())
+@example([0] * 256, 0.5, True)
+@example(list(range(0, 1280, 5)), None, False)
+@example([1439], 2000.0, True)
+def test_fit_direct_path_is_bit_exact_with_broadcast(sample, bandwidth, circular):
+    h = silverman_numpy(sample) if bandwidth is None else bandwidth
+    profile = fit_profile(sample, bandwidth, circular=circular)
+    assert profile.bandwidth == h
+    assert np.array_equal(profile.densities, broadcast_kde(sample, h, circular))
 
 
 def test_fit_uniform_sample_is_flat_away_from_edges():
