@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, TextIO
 
@@ -137,6 +138,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_state(path: str, snapshot: dict[str, Any]) -> None:
+    """Write ``snapshot`` to a temporary file beside ``path`` and rename it
+    into place, so a failed write leaves any previous snapshot intact (the
+    same file may be both ``--state-in`` and ``--state-out``)."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(snapshot, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = load_config(args.config, _collect_overrides(args))
@@ -200,8 +220,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.state_out is not None:
         try:
-            with open(args.state_out, "w", encoding="utf-8") as fh:
-                json.dump(dump_state(engines), fh)
+            _write_state(args.state_out, dump_state(engines))
         except OSError as exc:
             print(f"error: cannot write state to {args.state_out}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME

@@ -43,11 +43,13 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class KdeProfile:
-    """Fitted density per grid minute, with the bandwidth that produced it."""
+    """Fitted density per grid minute, with the sample (in fit order) and the
+    bandwidth that produced it: ``fit_profile(sample, bandwidth, circular)``
+    rebuilds the same densities bit for bit."""
 
     densities: np.ndarray
     bandwidth: float
-    sample_count: int
+    sample: np.ndarray
 
     def __post_init__(self) -> None:
         dens = np.asarray(self.densities, dtype=np.float64)
@@ -57,10 +59,18 @@ class KdeProfile:
             raise ValueError("densities must be finite and non-negative")
         if not self.bandwidth > 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be at least 1, got {self.sample_count}")
+        x = np.asarray(self.sample)
+        if x.ndim != 1 or x.size < 1 or x.dtype.kind not in "iu":
+            raise ValueError(f"sample must be a non-empty 1-D integer array, "
+                             f"got dtype {x.dtype} and shape {x.shape}")
         dens.setflags(write=False)
+        x.setflags(write=False)
         object.__setattr__(self, "densities", dens)
+        object.__setattr__(self, "sample", x)
+
+    @property
+    def sample_count(self) -> int:
+        return self.sample.size
 
 
 def fuse_samples(
@@ -136,7 +146,8 @@ def fit_profile(
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
 
-    x = np.asarray(sample, dtype=np.int64)
+    # A copy, never a view of the caller's array: the profile keeps it.
+    x = np.array(sample, dtype=np.int64)
     if x.size and (x.min() < 0 or x.max() >= GRID_MINUTES):
         raise ValueError("sample minutes must lie in [0, 1439]")
 
@@ -158,7 +169,7 @@ def fit_profile(
         start = GRID_MINUTES - 1 - lo
         dens = full[start : start + GRID_MINUTES] / (m * bandwidth)
 
-    return KdeProfile(densities=dens, bandwidth=float(bandwidth), sample_count=m)
+    return KdeProfile(densities=dens, bandwidth=float(bandwidth), sample=x)
 
 
 def density_at(profile: KdeProfile, minute: MinuteOfDay) -> float:

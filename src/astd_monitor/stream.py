@@ -7,25 +7,26 @@ manager is built for out-of-order arrival, so no re-sorting happens here.
 
 Malformed lines are counted and skipped; they never touch engine state.
 
-Snapshots serialize every user's window state and fitted profile into one
-versioned JSON document. Restoring a snapshot and replaying the remaining
-events is equivalent to an uninterrupted run: profile densities round-trip
-exactly through JSON (repr-based float encoding).
+Snapshots serialize every user's window state into one versioned JSON
+document. A profile is stored as the input of its fit, the bandwidth and
+the sample in window order, and restore refits it with the same
+``fit_profile`` call, so the densities come back bit for bit (given the
+same numpy and libm builds). Restoring a snapshot and replaying the
+remaining events is therefore equivalent to an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import threading
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from typing import Any, Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .calendar_periods import TimestampError, parse_timestamp
 from .detector import (
@@ -35,9 +36,9 @@ from .detector import (
     EntityState,
     MonitorEngine,
 )
-from .kde import GRID_MINUTES, KdeProfile
+from .kde import GRID_MINUTES, KdeProfile, fit_profile
 
-STATE_SCHEMA = "astd-monitor/state/1"
+STATE_SCHEMA = "astd-monitor/state/2"
 
 
 class RestoreError(ValueError):
@@ -98,6 +99,7 @@ class RunStats:
     alerts_emitted: int = 0
     wall_time_s: float = 0.0
     peak_rss_bytes: int = 0
+    malformed_by_reason: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -154,6 +156,7 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
     emit = alert_sink if alert_sink is not None else (lambda alert: None)
 
     stats = RunStats()
+    by_reason = stats.malformed_by_reason
     peak_rss = resident_memory_bytes()
     started = time.perf_counter()
 
@@ -166,6 +169,7 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
             record = parse_record(line)
             if isinstance(record, MalformedRecord):
                 stats.events_malformed += 1
+                by_reason[record.reason] = by_reason.get(record.reason, 0) + 1
             else:
                 for alert in engine.process(record.event_id, record.user_id,
                                             record.creation):
@@ -214,6 +218,7 @@ def _run_sharded(source: Iterable[str], engines: list[MonitorEngine],
     for t in threads:
         t.start()
     malformed = 0
+    by_reason = stats.malformed_by_reason
     workers = len(engines)
     for line in source:
         if not line.strip():
@@ -222,6 +227,7 @@ def _run_sharded(source: Iterable[str], engines: list[MonitorEngine],
         record = parse_record(line)
         if isinstance(record, MalformedRecord):
             malformed += 1
+            by_reason[record.reason] = by_reason.get(record.reason, 0) + 1
         else:
             queues[_shard_of(record.user_id, workers)].put(record)
         if failures:
@@ -242,11 +248,7 @@ def _run_sharded(source: Iterable[str], engines: list[MonitorEngine],
 def _profile_to_json(profile: KdeProfile | None) -> dict[str, Any] | None:
     if profile is None:
         return None
-    return {
-        "bandwidth": profile.bandwidth,
-        "sample_count": profile.sample_count,
-        "densities": profile.densities.tolist(),
-    }
+    return {"bandwidth": profile.bandwidth, "sample": profile.sample.tolist()}
 
 
 def _state_to_json(state: EntityState) -> dict[str, Any]:
@@ -286,25 +288,31 @@ def _require(mapping: Mapping[str, Any], key: str, kind: type, where: str) -> An
     return value
 
 
-def _profile_from_json(data: Any, where: str) -> KdeProfile | None:
+def _all_ints(values: list[Any]) -> bool:
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
+def _profile_from_json(data: Any, where: str, circular: bool) -> KdeProfile | None:
     if data is None:
         return None
     if not isinstance(data, dict):
         raise RestoreError(f"{where}: expected object or null")
-    bandwidth = _require(data, "bandwidth", (int, float), where)
-    sample_count = _require(data, "sample_count", int, where)
-    densities = _require(data, "densities", list, where)
-    if len(densities) != GRID_MINUTES:
-        raise RestoreError(f"{where}.densities: expected {GRID_MINUTES} values, "
-                           f"got {len(densities)}")
-    try:
-        return KdeProfile(np.asarray(densities, dtype=np.float64),
-                          float(bandwidth), sample_count)
-    except (TypeError, ValueError) as exc:
-        raise RestoreError(f"{where}: {exc}") from exc
+    bandwidth = _require(data, "bandwidth", float, where)
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise RestoreError(f"{where}.bandwidth: expected a positive finite number, "
+                           f"got {bandwidth!r}")
+    sample = _require(data, "sample", list, where)
+    if not sample:
+        raise RestoreError(f"{where}.sample: empty")
+    if not _all_ints(sample):
+        raise RestoreError(f"{where}.sample: expected a list of integers")
+    if min(sample) < 0 or max(sample) >= GRID_MINUTES:
+        raise RestoreError(f"{where}.sample: minutes must lie in [0, {GRID_MINUTES - 1}]")
+    # The refit's own call, on the refit's own inputs: bit-identical densities.
+    return fit_profile(sample, bandwidth, circular=circular)
 
 
-def _state_from_json(data: Any, where: str) -> EntityState:
+def _state_from_json(data: Any, where: str, circular: bool) -> EntityState:
     if not isinstance(data, dict):
         raise RestoreError(f"{where}: expected an object")
     raw_events = _require(data, "events_by_week", dict, where)
@@ -315,20 +323,20 @@ def _state_from_json(data: Any, where: str) -> EntityState:
         except (TypeError, ValueError):
             raise RestoreError(f"{where}.events_by_week: bad period key "
                                f"{raw_period!r}") from None
-        if not isinstance(minutes, list) or not all(isinstance(m, int) for m in minutes):
+        if not isinstance(minutes, list) or not _all_ints(minutes):
             raise RestoreError(f"{where}.events_by_week[{raw_period}]: "
                                f"expected a list of integers")
         events[period] = list(minutes)
     used = _require(data, "used_periods", list, where)
     accumulated = _require(data, "accumulated_periods", list, where)
     for name, periods in (("used_periods", used), ("accumulated_periods", accumulated)):
-        if not all(isinstance(p, int) for p in periods):
+        if not _all_ints(periods):
             raise RestoreError(f"{where}.{name}: expected a list of integers")
     start_kde = _require(data, "start_kde", bool, where)
     alerts = _require(data, "alerts", list, where)
     if not all(isinstance(a, str) for a in alerts):
         raise RestoreError(f"{where}.alerts: expected a list of strings")
-    profile = _profile_from_json(data.get("profile"), f"{where}.profile")
+    profile = _profile_from_json(data.get("profile"), f"{where}.profile", circular)
     state = EntityState(
         events_by_week=events,
         used_periods=list(used),
@@ -355,7 +363,9 @@ def restore_state(snapshot: Mapping[str, Any] | str) -> MonitorEngine:
         raise RestoreError("snapshot: expected a JSON object")
     schema = snapshot.get("schema")
     if schema != STATE_SCHEMA:
-        raise RestoreError(f"schema: expected {STATE_SCHEMA!r}, got {schema!r}")
+        raise RestoreError(f"schema: expected {STATE_SCHEMA!r}, got {schema!r}; "
+                           f"this version reads no other snapshot schema, so "
+                           f"regenerate the snapshot by replaying the input")
     raw_config = snapshot.get("config")
     if not isinstance(raw_config, dict):
         raise RestoreError("config: expected an object")
@@ -369,7 +379,7 @@ def restore_state(snapshot: Mapping[str, Any] | str) -> MonitorEngine:
     engine = MonitorEngine(config)
     for user_id, raw_state in raw_users.items():
         where = f"users[{user_id!r}]"
-        state = _state_from_json(raw_state, where)
+        state = _state_from_json(raw_state, where, config.circular)
         state.n, state.k, state.threshold = config.n, config.k, config.threshold
         try:
             state.check_invariants()

@@ -147,7 +147,7 @@ def test_run_bad_workers_exits_2(tmp_path, trace_input, config_file):
 
 def test_run_corrupt_state_in_exits_1(tmp_path, trace_input, config_file, capsys):
     snapshot = tmp_path / "state.json"
-    snapshot.write_text('{"schema": "astd-monitor/state/1", "config"')
+    snapshot.write_text('{"schema": "astd-monitor/state/2", "config"')
     code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
                     "--alerts", str(tmp_path / "a.ldjson"),
                     "--state-in", str(snapshot)])
@@ -172,6 +172,40 @@ def test_run_state_round_trip_through_files(tmp_path, config_file, capsys):
                     "--alerts", str(alerts), "--state-in", str(state)]) == 0
     emitted = [json.loads(line) for line in alerts.read_text().splitlines()]
     assert [a["event_id"] for a in emitted] == ["e13"]
+
+
+def test_failed_state_out_keeps_the_previous_snapshot(tmp_path, trace_input,
+                                                      config_file, monkeypatch, capsys):
+    state = tmp_path / "state.json"
+    assert run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"),
+                    "--state-out", str(state)]) == 0
+    before = state.read_bytes()
+    files_before = sorted(tmp_path.iterdir())
+
+    def disk_full(obj, fh, **kwargs):
+        fh.write('{"schema": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", disk_full)
+    code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"),
+                    "--state-in", str(state), "--state-out", str(state)])
+    assert code == 1
+    assert "cannot write state" in capsys.readouterr().err
+    assert state.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == files_before  # no temporary file left
+
+
+def test_run_stats_count_malformed_lines_by_reason(tmp_path, config_file, capsys):
+    path = tmp_path / "events.ldjson"
+    path.write_text('nonsense\n{"Id":"e1","CreationTime":"2022-06-22T10:15:00Z"}\n'
+                    'garbage\n')
+    code = run_cli(["run", "--input", str(path), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"), "--stats"])
+    assert code == 0
+    stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert stats["malformed_by_reason"] == {"bad JSON": 2, "missing UserId": 1}
 
 
 def test_run_alerts_to_stdout(trace_input, config_file, capsys):

@@ -287,21 +287,36 @@ def test_classify_monotone_in_threshold(sample, minute, t1, shrink):
 
 def test_profile_validation():
     good = np.full(GRID_MINUTES, 1.0 / GRID_MINUTES)
+    three = np.array([1, 2, 3])
     with pytest.raises(ValueError):
-        KdeProfile(good[:100], 5.0, 3)          # wrong length
+        KdeProfile(good[:100], 5.0, three)      # wrong length
     with pytest.raises(ValueError):
-        KdeProfile(good * -1.0, 5.0, 3)         # negative densities
+        KdeProfile(good * -1.0, 5.0, three)     # negative densities
     with pytest.raises(ValueError):
-        KdeProfile(good, 0.0, 3)                # non-positive bandwidth
+        KdeProfile(good, 0.0, three)            # non-positive bandwidth
     with pytest.raises(ValueError):
-        KdeProfile(good, 5.0, 0)                # zero samples
+        KdeProfile(good, 5.0, np.array([], dtype=np.int64))  # zero samples
+    with pytest.raises(ValueError):
+        KdeProfile(good, 5.0, np.array([1.0, 2.0]))          # non-integer sample
+    with pytest.raises(ValueError):
+        KdeProfile(good, 5.0, np.array([[1, 2]]))            # not one-dimensional
     bad = good.copy()
     bad[7] = np.nan
     with pytest.raises(ValueError):
-        KdeProfile(bad, 5.0, 3)                 # non-finite density
+        KdeProfile(bad, 5.0, three)             # non-finite density
 
 
 def test_profile_densities_are_read_only():
     profile = fit_profile([720], 5.0)
     with pytest.raises(ValueError):
         profile.densities[0] = 1.0
+
+
+def test_profile_keeps_its_sample_in_fit_order_read_only():
+    sample = np.array([900, 30, 720, 30])
+    profile = fit_profile(sample, 5.0)
+    assert profile.sample.tolist() == [900, 30, 720, 30]
+    assert profile.sample_count == 4
+    with pytest.raises(ValueError):
+        profile.sample[0] = 1
+    assert sample.flags.writeable  # the caller's array is copied, not frozen

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from astd_monitor.detector import DetectorConfig, MonitorEngine
+from astd_monitor.detector import DetectorConfig, EntityState, MonitorEngine
+from astd_monitor.kde import fit_profile, select_bandwidth
 from astd_monitor.stream import (
     MalformedRecord,
     ParsedEvent,
@@ -47,7 +50,7 @@ def test_parse_record_accepts_both_id_spellings():
     assert parse_record('{"ID":"b","CreationTime":"2022-06-22T10:15:00Z","UserId":"u"}').event_id == "b"
 
 
-@pytest.mark.parametrize("line,reason", [
+MALFORMED_LINES = [
     ('{"ID":"e2","UserId":"u1"}', "missing CreationTime"),
     ('{"ID":"e3","CreationTime":"2022-06-22 10:15","UserId":"u1"}', "bad timestamp"),
     ('{"CreationTime":"2022-06-22T10:15:00Z","UserId":"u1"}', "missing Id"),
@@ -57,7 +60,10 @@ def test_parse_record_accepts_both_id_spellings():
     ('{"ID":"e6","CreationTime":17,"UserId":"u1"}', "bad timestamp"),
     ('nonsense', "bad JSON"),
     ('[1,2,3]', "not a JSON object"),
-])
+]
+
+
+@pytest.mark.parametrize("line,reason", MALFORMED_LINES)
 def test_parse_record_flags_malformed_lines(line, reason):
     record = parse_record(line)
     assert isinstance(record, MalformedRecord)
@@ -115,6 +121,17 @@ def test_runs_are_deterministic_byte_for_byte():
                     lambda a: out.write(alert_to_json(a) + "\n"))
         return out.getvalue()
     assert run_once() == run_once()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_malformed_lines_are_counted_by_reason(workers):
+    lines = [line + "\n" for line, _ in MALFORMED_LINES] + trace_lines()
+    stats, _ = run_monitor(lines, CONFIG, None, workers=workers)
+    expected = Counter(reason for _, reason in MALFORMED_LINES)
+    assert len(expected) == 8
+    assert stats.malformed_by_reason == dict(expected)
+    assert stats.to_dict()["malformed_by_reason"] == dict(expected)
+    assert sum(stats.malformed_by_reason.values()) == stats.events_malformed
 
 
 def test_stats_invariant_processed_equals_read_minus_malformed():
@@ -176,7 +193,7 @@ def test_alert_json_has_exactly_the_record_fields():
 
 def test_dump_fresh_engine_has_zero_users():
     doc = dump_state(MonitorEngine(CONFIG))
-    assert doc["schema"] == "astd-monitor/state/1"
+    assert doc["schema"] == "astd-monitor/state/2"
     assert doc["users"] == {}
 
 
@@ -221,7 +238,34 @@ def test_restore_rejects_truncated_document():
     (lambda d: d["users"]["u1"].update(start_kde=True), "start_kde"),
     (lambda d: d["users"]["u1"]["events_by_week"].update({"xyz": [1]}), "bad period key"),
     (lambda d: d["users"]["u1"].update(used_periods=[202228, 202225]), "ascending"),
-    (lambda d: d["users"]["u1"]["profile"].update(densities=[1.0, 2.0]), "densities"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[]), "sample",
+                 id="sample-empty"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[600, "x"]), "sample",
+                 id="sample-string"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[600, 1440]), "sample",
+                 id="sample-1440"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[-1, 600]), "sample",
+                 id="sample-negative"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[600, True]), "sample",
+                 id="sample-bool"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].pop("sample"), "sample",
+                 id="sample-missing"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=0.0), "bandwidth",
+                 id="bandwidth-zero"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=-2.5), "bandwidth",
+                 id="bandwidth-negative"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=10**400), "bandwidth",
+                 id="bandwidth-huge-int"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=True), "bandwidth",
+                 id="bandwidth-bool"),
+    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=float("inf")),
+                 "bandwidth", id="bandwidth-inf"),
+    pytest.param(lambda d: d["users"]["u1"]["events_by_week"].update({"202225": [True]}),
+                 "events_by_week\\[202225\\]", id="minute-bool"),
+    pytest.param(lambda d: d["users"]["u1"].update(used_periods=[True]), "used_periods",
+                 id="used_periods-bool"),
+    pytest.param(lambda d: d["users"]["u1"].update(accumulated_periods=[True]),
+                 "accumulated_periods", id="accumulated_periods-bool"),
 ])
 def test_restore_names_the_corrupt_location(mutate, location):
     _, engines = run_monitor(trace_lines(), CONFIG, None)
@@ -229,6 +273,54 @@ def test_restore_names_the_corrupt_location(mutate, location):
     mutate(doc)
     with pytest.raises(RestoreError, match=location):
         restore_state(doc)
+
+
+def test_restore_rejects_a_state_1_snapshot_naming_both_schemas():
+    _, engines = run_monitor(trace_lines(), CONFIG, None)
+    doc = dump_state(engines[0])
+    doc["schema"] = "astd-monitor/state/1"
+    with pytest.raises(RestoreError) as info:
+        restore_state(doc)
+    message = str(info.value)
+    assert "'astd-monitor/state/1'" in message
+    assert "'astd-monitor/state/2'" in message
+    assert "regenerate the snapshot" in message
+
+
+def test_snapshot_profile_holds_no_density_grid():
+    _, engines = run_monitor(trace_lines(), CONFIG, None)
+    profile = dump_state(engines[0])["users"][TRACE_USER]["profile"]
+    state = engines[0].entity_state(TRACE_USER)
+    assert profile == {"bandwidth": state.profile.bandwidth,
+                       "sample": state.profile.sample.tolist()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=st.integers(1, 600).flatmap(
+           lambda m: st.lists(st.integers(0, 1439), min_size=m, max_size=m)),
+       circular=st.booleans(),
+       fixed=st.one_of(st.none(), st.floats(0.5, 300.0)))
+def test_snapshot_restores_profiles_bit_for_bit(sample, circular, fixed):
+    if fixed is None:
+        config = DetectorConfig(circular=circular)
+        bandwidth = select_bandwidth(sample)
+    else:
+        config = DetectorConfig(bandwidth_method="fixed", bandwidth_value=fixed,
+                                circular=circular)
+        bandwidth = fixed
+    profile = fit_profile(sample, bandwidth, circular=circular)
+    engine = MonitorEngine(config)
+    engine.adopt_user("u", EntityState(
+        events_by_week={202225: list(sample)}, used_periods=[202225],
+        accumulated_periods=[], start_kde=False, profile=profile, alerts=[],
+        n=config.n, k=config.k, threshold=config.threshold))
+    text = json.dumps(dump_state(engine))
+    restored = restore_state(text)
+    again = restored.entity_state("u").profile
+    assert np.array_equal(again.densities, profile.densities)
+    assert again.bandwidth == profile.bandwidth
+    assert again.sample.tolist() == sample
+    assert json.dumps(dump_state(restored)) == text
 
 
 def test_restored_profile_scores_like_the_original():
