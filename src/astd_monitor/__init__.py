@@ -5,8 +5,8 @@ isolated detector instance that maintains a sliding window of training
 weeks, fits a kernel-density profile of activity over the 1440 minutes of
 the day, and flags events whose minute-of-day density falls at or below a
 threshold. The composition (one detector per user, training and alerting
-fed the same event) is expressed with a small interpreted state-machine
-algebra; see `astd_monitor.astd`.
+fed the same event) is expressed with a small state-machine algebra,
+which the engine compiles instead of interpreting; see `astd_monitor.astd`.
 """
 
 from astd_monitor.detector import (

@@ -1,4 +1,4 @@
-"""Interpreted runtime for a small algebra of hierarchical state machines.
+"""A small algebra of hierarchical state machines: interpreter and compiler.
 
 Three node kinds compose a finite tree:
 
@@ -18,6 +18,24 @@ Guards, actions and attribute initializers are plain callables registered
 by name and resolved when the tree is built. Guards and actions receive
 ``(payload, attrs)``; initializers take no arguments. An event that no
 path can execute is a no-op and leaves no trace anywhere in the tree.
+
+Two ways run a tree. ``build`` and ``step`` interpret it: every step walks
+the instance tree, resolves attributes through chained scopes and returns
+a ``StepReport`` of the transitions fired and the actions run, with their
+results. The interpreter is the executable specification, and the tests
+hold the compiled form to it.
+
+``compile`` validates the tree as ``build`` does, resolves every guard,
+action and initializer once, and returns a ``Program`` whose ``step`` runs
+those closures in the interpreter's order and returns only whether the
+event executed; it allocates no event message and no report. Each key's
+child is one flat attribute dict plus the current state of each automaton.
+Only trees that flatten that way compile: an interleave at the root, with
+no attributes or action of its own, over flows and automata whose
+attributes are all declared on the interleave's child. Anything else,
+such as a nested interleave, attributes on two levels or a shadowed name,
+raises ``BuildError``. Because the dict is flat, an action that writes an
+undeclared name adds it, where the interpreter raises ``KeyError``.
 """
 
 from __future__ import annotations
@@ -191,9 +209,6 @@ class AutomatonInstance:
                 return tr
         return None
 
-    def _can(self, ev: EventMessage) -> bool:
-        return self._select(ev) is not None
-
     def _step(self, ev: EventMessage, report: StepReport) -> bool:
         tr = self._select(ev)
         if tr is None:
@@ -217,9 +232,6 @@ class FlowInstance:
         self.left = _instantiate(node.left, registry, scope)
         self.right = _instantiate(node.right, registry, scope)
 
-    def _can(self, ev: EventMessage) -> bool:
-        return self.left._can(ev) or self.right._can(ev)
-
     def _step(self, ev: EventMessage, report: StepReport) -> bool:
         # Left child always goes first; the right child's guards see any
         # attribute writes the left child made during this same step.
@@ -232,14 +244,13 @@ class FlowInstance:
 
 
 class InterleaveInstance:
-    __slots__ = ("node", "scope", "children", "_registry", "_probe")
+    __slots__ = ("node", "scope", "children", "_registry")
 
     def __init__(self, node: Interleave, registry: Registry, scope: AttributeScope):
         self.node = node
         self.scope = scope
         self._registry = registry
         self.children: dict[Any, Any] = {}
-        self._probe = None
 
     def ensure_child(self, value: Any):
         """Get or create the persistent child bound to ``value``."""
@@ -252,21 +263,6 @@ class InterleaveInstance:
     def evict(self, value: Any) -> bool:
         """Drop the child bound to ``value``. Never called by the runtime."""
         return self.children.pop(value, None) is not None
-
-    def _fresh_probe(self):
-        # A pristine child used only for executability queries; it is never
-        # stepped, so reusing one instance is safe.
-        if self._probe is None:
-            self._probe = _instantiate(self.node.child, self._registry, self.scope)
-        return self._probe
-
-    def _can(self, ev: EventMessage) -> bool:
-        if self.node.variable not in ev.payload:
-            return False
-        child = self.children.get(ev.payload[self.node.variable])
-        if child is None:
-            child = self._fresh_probe()
-        return child._can(ev)
 
     def _step(self, ev: EventMessage, report: StepReport) -> bool:
         try:
@@ -367,13 +363,140 @@ def build(spec: AstdNode, registry: Registry) -> AstdInstance:
     return _instantiate(spec, registry, None)
 
 
-def can_execute(instance: AstdInstance, ev: EventMessage) -> bool:
-    """Whether some path in the tree would execute ``ev``. Never mutates."""
-    return instance._can(ev)
-
-
 def step(instance: AstdInstance, ev: EventMessage) -> StepReport:
     """Deliver one event and report every transition and action it ran."""
     report = StepReport()
     report.executed = instance._step(ev, report)
     return report
+
+
+# --------------------------------------------------------------------------
+# Compiled form
+# --------------------------------------------------------------------------
+
+# A compiled node: (label, payload, attrs, states) -> whether it executed.
+_Run = Callable[[str, Mapping[str, Any], dict, list], bool]
+
+
+class CompiledChild:
+    """One key's state in a compiled program: the flat attribute dict and
+    the current state of every automaton, in pre-order."""
+
+    __slots__ = ("attrs", "states")
+
+    def __init__(self, attrs: dict[str, Any], states: list[str]):
+        self.attrs = attrs
+        self.states = states
+
+
+class Program:
+    """An interleave compiled by :func:`compile`: one child per key."""
+
+    __slots__ = ("children", "_variable", "_inits", "_initial_states", "_run")
+
+    def __init__(self, variable: str, inits: tuple[tuple[str, Callable], ...],
+                 initial_states: tuple[str, ...], run: _Run):
+        self.children: dict[Any, CompiledChild] = {}
+        self._variable = variable
+        self._inits = inits
+        self._initial_states = initial_states
+        self._run = run
+
+    def _fresh(self) -> CompiledChild:
+        return CompiledChild({name: init() for name, init in self._inits},
+                             list(self._initial_states))
+
+    def ensure_child(self, key: Any) -> CompiledChild:
+        """Get or create the persistent child bound to ``key``."""
+        child = self.children.get(key)
+        if child is None:
+            child = self.children[key] = self._fresh()
+        return child
+
+    def step(self, label: str, payload: Mapping[str, Any]) -> bool:
+        """Deliver one event; return whether it executed."""
+        try:
+            key = payload[self._variable]
+        except KeyError:
+            raise DispatchError(
+                f"event {label!r} has no {self._variable!r} in its payload"
+            ) from None
+        child = self.children.get(key)
+        if child is not None:
+            return self._run(label, payload, child.attrs, child.states)
+        child = self._fresh()
+        if self._run(label, payload, child.attrs, child.states):
+            self.children[key] = child
+            return True
+        return False  # a fresh child that refused the event leaves no trace
+
+
+def _compile_node(node: AstdNode, top: AstdNode, registry: Registry,
+                  automata: list[Automaton]) -> _Run:
+    if node is not top and node.attributes:
+        raise BuildError(
+            f"node {node.name!r} declares attributes below {top.name!r}: a compiled "
+            f"program keeps one flat attribute dict per key, so every attribute "
+            f"must be declared on {top.name!r}"
+        )
+    if isinstance(node, Interleave):
+        raise BuildError(f"interleave {node.name!r} below the root cannot be compiled")
+    action = registry[node.action] if node.action is not None else None
+    if isinstance(node, Flow):
+        left = _compile_node(node.left, top, registry, automata)
+        right = _compile_node(node.right, top, registry, automata)
+
+        def run_flow(label, payload, attrs, states):
+            # Left first; the right child's guards see the left child's writes.
+            ran_left = left(label, payload, attrs, states)
+            if right(label, payload, attrs, states) or ran_left:
+                if action is not None:
+                    action(payload, attrs)
+                return True
+            return False
+        return run_flow
+
+    index = len(automata)
+    automata.append(node)
+    table: dict[tuple[str, str], list] = {}
+    for tr in node.transitions:
+        table.setdefault((tr.source, tr.event), []).append((
+            registry[tr.guard] if tr.guard is not None else None,
+            registry[tr.action] if tr.action is not None else None,
+            tr.target,
+        ))
+    frozen = {key: tuple(options) for key, options in table.items()}
+
+    def run_automaton(label, payload, attrs, states):
+        for guard, transition_action, target in frozen.get((states[index], label), ()):
+            if guard is None or guard(payload, attrs):
+                if transition_action is not None:
+                    transition_action(payload, attrs)
+                states[index] = target
+                if action is not None:
+                    action(payload, attrs)
+                return True
+        return False
+    return run_automaton
+
+
+def compile(spec: AstdNode, registry: Registry) -> Program:
+    """Validate a composition tree as :func:`build` does and compile it.
+
+    The tree must be an interleave without attributes or action of its own,
+    over a subtree of flows and automata whose attributes are all declared
+    on the subtree's top node. Any other shape raises :class:`BuildError`.
+    """
+    _validate(spec, registry)
+    if not isinstance(spec, Interleave):
+        raise BuildError(f"compile needs an interleave at the root, not {spec.name!r}")
+    if spec.attributes or spec.action is not None:
+        raise BuildError(
+            f"interleave {spec.name!r} has attributes or an action, which all keys "
+            f"would share; a compiled program keeps state per key only"
+        )
+    top = spec.child
+    automata: list[Automaton] = []
+    run = _compile_node(top, top, registry, automata)
+    inits = tuple((decl.name, registry[decl.initializer]) for decl in top.attributes)
+    return Program(spec.variable, inits, tuple(a.initial for a in automata), run)

@@ -1,4 +1,4 @@
-"""Per-user activity monitor wired from the state-machine runtime.
+"""Per-user activity monitor composed from the state-machine algebra.
 
 The composition is an interleave over the event's user id; each user gets
 an isolated two-automaton pipeline sharing one attribute scope:
@@ -12,6 +12,14 @@ an isolated two-automaton pipeline sharing one attribute scope:
 
 The training side runs first within each step, so the very event that
 completes a window is scored against the profile that window produced.
+
+``MonitorEngine`` runs the composition compiled (``astd.compile``): each
+user is one flat attribute dict, and each event is one call of ``step``.
+Refits and alerts reach the engine's counters through the registry's
+``on_refit`` and ``on_alert`` hooks. ``build_detector`` builds the same
+composition for the interpreter, the specification the engine is tested
+against. The window parameters ``n`` and ``k`` and the ``threshold`` are
+read from the configuration, not copied into each user.
 
 Window management: ``used_periods`` holds the weeks feeding the current
 profile; once it spans at least ``n`` weeks holding at least ``k`` events,
@@ -34,14 +42,13 @@ from .astd import (
     AstdInstance,
     AttributeDecl,
     Automaton,
-    EventMessage,
     Flow,
     Interleave,
-    StepReport,
+    Program,
     Transition,
     build,
-    step,
 )
+from .astd import compile as compile_spec
 from .calendar_periods import (
     DEFAULT_MAX_GAP_WEEKS,
     compute_minute,
@@ -145,9 +152,6 @@ class EntityState:
     start_kde: bool
     profile: KdeProfile | None
     alerts: list[str]
-    n: int
-    k: int
-    threshold: float
 
     @classmethod
     def capture(cls, attrs: Mapping[str, Any]) -> "EntityState":
@@ -158,9 +162,6 @@ class EntityState:
             start_kde=attrs["start_kde"],
             profile=attrs["user_kde"],
             alerts=list(attrs["alerts"]),
-            n=attrs["n"],
-            k=attrs["k"],
-            threshold=attrs["threshold"],
         )
 
     def check_invariants(self) -> None:
@@ -213,9 +214,9 @@ def add_event(attrs: MutableMapping[str, Any], creation: datetime,
 
     used = attrs["used_periods"]
     if (not used
-            or count_events(events, used) < config.k
             or len(used) < config.n
-            or period <= used[-1]):
+            or period <= used[-1]
+            or count_events(events, used) < config.k):
         # Window still filling, or the event belongs to a current or past
         # window week: try to adopt the week into the window.
         if period not in used:
@@ -232,12 +233,12 @@ def add_event(attrs: MutableMapping[str, Any], creation: datetime,
 
     used = attrs["used_periods"]
     acc = attrs["accumulated_periods"]
-    renewed = used[1:] + acc
-    if (len(used) >= config.n
-            and count_events(events, acc) >= 2
-            and count_events(events, renewed) >= config.k):
+    if len(used) < config.n or not acc:
+        return
+    accumulated = count_events(events, acc)
+    if accumulated >= 2 and count_events(events, used[1:]) + accumulated >= config.k:
         events.pop(used[0], None)
-        attrs["used_periods"] = renewed
+        attrs["used_periods"] = used[1:] + acc
         attrs["accumulated_periods"] = []
 
 
@@ -267,12 +268,12 @@ def refresh_profile(attrs: MutableMapping[str, Any], config: DetectorConfig) -> 
 
 
 def check_event(attrs: MutableMapping[str, Any], event_id: str, user_id: str,
-                creation: datetime) -> AlertRecord | None:
+                creation: datetime, config: DetectorConfig) -> AlertRecord | None:
     """Score one event against the current profile; alert when at or below
     the threshold. Callers must ensure a profile exists."""
     minute = compute_minute(creation)
     density = density_at(attrs["user_kde"], minute)
-    threshold = attrs["threshold"]
+    threshold = config.threshold
     if density <= threshold:
         attrs["alerts"].append(event_id)
         return AlertRecord(
@@ -326,29 +327,40 @@ def detector_spec() -> Interleave:
             AttributeDecl("start_kde", "init_false"),
             AttributeDecl("user_kde", "init_no_profile"),
             AttributeDecl("alerts", "init_alert_list"),
-            AttributeDecl("n", "init_n"),
-            AttributeDecl("k", "init_k"),
-            AttributeDecl("threshold", "init_threshold"),
         ),
     )
     return Interleave(name="monitor", variable=USER_VAR, child=pipeline)
 
 
-def make_registry(config: DetectorConfig) -> dict[str, Callable]:
-    """Guards, actions, and initializers closed over one configuration."""
+def make_registry(config: DetectorConfig, *,
+                  on_refit: Callable[[], None] | None = None,
+                  on_alert: Callable[[AlertRecord], None] | None = None,
+                  ) -> dict[str, Callable]:
+    """Guards, actions, and initializers closed over one configuration.
+
+    ``on_refit`` is called after each profile refit and ``on_alert`` with
+    each alert; the actions also return both results, which the
+    interpreter's step report records.
+    """
 
     def _add_event(payload, attrs):
         add_event(attrs, payload["creation"], config)
 
     def _refresh_profile(payload, attrs):
-        return refresh_profile(attrs, config)
+        refit = refresh_profile(attrs, config)
+        if refit and on_refit is not None:
+            on_refit()
+        return refit
 
     def _profile_exists(payload, attrs):
         return attrs["user_kde"] is not None
 
     def _check_event(payload, attrs):
-        return check_event(attrs, payload["event_id"], payload[USER_VAR],
-                           payload["creation"])
+        alert = check_event(attrs, payload["event_id"], payload[USER_VAR],
+                            payload["creation"], config)
+        if alert is not None and on_alert is not None:
+            on_alert(alert)
+        return alert
 
     return {
         "init_events_by_week": dict,
@@ -356,9 +368,6 @@ def make_registry(config: DetectorConfig) -> dict[str, Callable]:
         "init_false": lambda: False,
         "init_no_profile": lambda: None,
         "init_alert_list": list,
-        "init_n": lambda: config.n,
-        "init_k": lambda: config.k,
-        "init_threshold": lambda: config.threshold,
         "add_event": _add_event,
         "refresh_profile": _refresh_profile,
         "profile_exists": _profile_exists,
@@ -367,73 +376,99 @@ def make_registry(config: DetectorConfig) -> dict[str, Callable]:
 
 
 def build_detector(config: DetectorConfig) -> AstdInstance:
-    """Validate the config and build a fresh monitor instance."""
+    """Validate the config and build the interpreted monitor: the executable
+    specification the compiled engine is tested against."""
     config.validate()
     return build(detector_spec(), make_registry(config))
+
+
+# The engine's one call into the compiled program per event.
+step = Program.step
 
 
 # --------------------------------------------------------------------------
 # Engine facade
 # --------------------------------------------------------------------------
 
+class _Tally:
+    """What the registry hooks report to one engine: the refits so far and
+    the alerts of the current step. The compiled program references this,
+    never the engine, so a dropped engine is freed at once instead of at
+    the next cyclic garbage collection."""
+
+    __slots__ = ("refits", "raised")
+
+    def __init__(self) -> None:
+        self.refits = 0
+        self.raised: list[AlertRecord] = []
+
+    def count_refit(self) -> None:
+        self.refits += 1
+
+
 class MonitorEngine:
-    """Drives the composition tree one event at a time and collects alerts."""
+    """Runs the compiled composition one event at a time and collects alerts."""
 
     def __init__(self, config: DetectorConfig | None = None):
         self.config = config if config is not None else DetectorConfig()
-        self.root = build_detector(self.config)
-        self.profiles_computed = 0
+        self.config.validate()
         self.alerts_emitted = 0
         self.events_delivered = 0
-        self.last_report: StepReport | None = None
+        self._tally = tally = _Tally()
+        self._program = compile_spec(detector_spec(), make_registry(
+            self.config, on_refit=tally.count_refit, on_alert=tally.raised.append))
+
+    @property
+    def profiles_computed(self) -> int:
+        return self._tally.refits
 
     @property
     def users_seen(self) -> int:
-        return len(self.root.children)
+        return len(self._program.children)
 
     def process(self, event_id: str, user_id: str,
                 creation: datetime | str) -> list[AlertRecord]:
         """Deliver one event; return the alerts it raised (empty or one)."""
         if isinstance(creation, str):
             creation = parse_timestamp(creation)
-        ev = EventMessage(EVENT_LABEL, {
+        step(self._program, EVENT_LABEL, {
             USER_VAR: user_id,
             "event_id": event_id,
             "creation": creation,
         })
-        report = step(self.root, ev)
-        self.last_report = report
         self.events_delivered += 1
-        alerts: list[AlertRecord] = []
-        for run in report.actions:
-            if run.action == "refresh_profile" and run.result is True:
-                self.profiles_computed += 1
-            elif run.action == "check_event" and isinstance(run.result, AlertRecord):
-                alerts.append(run.result)
+        raised = self._tally.raised
+        if not raised:
+            return []
+        alerts = raised[:]
+        raised.clear()
         self.alerts_emitted += len(alerts)
         return alerts
 
+    def attributes(self) -> dict[str, Mapping[str, Any]]:
+        """Every seen user's live attribute dict (not a copy), by user id."""
+        return {user: child.attrs for user, child in self._program.children.items()}
+
     def entity_state(self, user_id: str) -> EntityState | None:
         """Deep-copied state of one user, or None if never seen."""
-        child = self.root.children.get(user_id)
+        child = self._program.children.get(user_id)
         if child is None:
             return None
-        return EntityState.capture(child.scope)
+        return EntityState.capture(child.attrs)
 
     def export_users(self) -> dict[str, EntityState]:
-        return {user: EntityState.capture(child.scope)
-                for user, child in self.root.children.items()}
+        return {user: EntityState.capture(attrs)
+                for user, attrs in self.attributes().items()}
 
     def adopt_user(self, user_id: str, state: EntityState) -> None:
         """Install a previously captured state for one user."""
         if state.start_kde:
             raise ValueError("cannot adopt a state captured mid-step (start_kde set)")
-        child = self.root.ensure_child(user_id)
-        scope = child.scope
-        scope["events_by_week"] = {int(p): [int(m) for m in v]
+        attrs = self._program.ensure_child(user_id).attrs
+        attrs["events_by_week"] = {int(p): [int(m) for m in v]
                                    for p, v in state.events_by_week.items()}
-        scope["used_periods"] = [int(p) for p in state.used_periods]
-        scope["accumulated_periods"] = [int(p) for p in state.accumulated_periods]
-        scope["start_kde"] = False
-        scope["user_kde"] = state.profile
-        scope["alerts"] = list(state.alerts)
+        attrs["used_periods"] = [int(p) for p in state.used_periods]
+        attrs["accumulated_periods"] = [int(p) for p in state.accumulated_periods]
+        attrs["start_kde"] = False
+        attrs["user_kde"] = state.profile
+        attrs["alerts"] = list(state.alerts)

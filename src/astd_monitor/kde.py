@@ -41,11 +41,15 @@ _CIRCULAR_OFFSETS.setflags(write=False)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KdeProfile:
     """Fitted density per grid minute, with the sample (in fit order) and the
     bandwidth that produced it: ``fit_profile(sample, bandwidth, circular)``
-    rebuilds the same densities bit for bit."""
+    rebuilds the same densities bit for bit.
+
+    Two profiles are equal when their bandwidths, samples (in order) and
+    densities are all equal.
+    """
 
     densities: np.ndarray
     bandwidth: float
@@ -67,6 +71,13 @@ class KdeProfile:
         x.setflags(write=False)
         object.__setattr__(self, "densities", dens)
         object.__setattr__(self, "sample", x)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KdeProfile):
+            return NotImplemented
+        return (self.bandwidth == other.bandwidth
+                and np.array_equal(self.sample, other.sample)
+                and np.array_equal(self.densities, other.densities))
 
     @property
     def sample_count(self) -> int:

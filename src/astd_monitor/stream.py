@@ -198,10 +198,14 @@ def _run_sharded(source: Iterable[str], engines: list[MonitorEngine],
     failures: list[BaseException] = []
 
     def worker(engine: MonitorEngine, inbox: queue.Queue) -> None:
+        failed = False
         while True:
             record = inbox.get()
             if record is None:
                 return
+            if failed:
+                # Keep draining, so the feeder never blocks on a full queue.
+                continue
             try:
                 alerts = engine.process(record.event_id, record.user_id,
                                         record.creation)
@@ -211,7 +215,7 @@ def _run_sharded(source: Iterable[str], engines: list[MonitorEngine],
                             emit(alert)
             except BaseException as exc:  # surfaced after join
                 failures.append(exc)
-                return
+                failed = True
 
     threads = [threading.Thread(target=worker, args=(engine, inbox), daemon=True)
                for engine, inbox in zip(engines, queues)]
@@ -344,7 +348,6 @@ def _state_from_json(data: Any, where: str, circular: bool) -> EntityState:
         start_kde=start_kde,
         profile=profile,
         alerts=list(alerts),
-        n=0, k=0, threshold=0.0,  # filled from config on adoption
     )
     return state
 
@@ -380,7 +383,6 @@ def restore_state(snapshot: Mapping[str, Any] | str) -> MonitorEngine:
     for user_id, raw_state in raw_users.items():
         where = f"users[{user_id!r}]"
         state = _state_from_json(raw_state, where, config.circular)
-        state.n, state.k, state.threshold = config.n, config.k, config.threshold
         try:
             state.check_invariants()
         except ValueError as exc:

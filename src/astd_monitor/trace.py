@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .detector import DetectorConfig, MonitorEngine
 
 TRACE_USER = "u1"
@@ -137,12 +135,7 @@ def run_trace(config: DetectorConfig | None = None) -> TraceResult:
             ok &= _compare(details, "events per week", counts, EXPECTED_FINAL_COUNTS)
             ok &= _compare(details, "alerts", alerts, list(EXPECTED_ALERTS))
             ok &= _compare(details, "refresh flag consumed", not state.start_kde, True)
-            same_profile = (
-                profile_at_c4 is not None and state.profile is not None
-                and state.profile.sample_count == profile_at_c4.sample_count
-                and state.profile.bandwidth == profile_at_c4.bandwidth
-                and np.array_equal(state.profile.densities, profile_at_c4.densities)
-            )
+            same_profile = profile_at_c4 is not None and state.profile == profile_at_c4
             ok &= _compare(details, "profile unchanged by the advance",
                            same_profile, True)
             checkpoints.append(CheckpointResult("C5 window advances", ok, details))

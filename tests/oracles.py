@@ -4,7 +4,10 @@ code shapes than the package (statistics module, per-sample accumulation,
 straight-line window replay) so agreement is meaningful. The exceptions
 are ``broadcast_kde`` and ``silverman_numpy``: they keep the package's
 former arithmetic so that tests can require equal bits, not just close
-values, because alert records carry the density's last digits."""
+values, because alert records carry the density's last digits; and
+``InterpretedMonitor``, which runs the detector's composition through the
+package's own interpreter, the executable specification of the compiled
+engine."""
 
 from __future__ import annotations
 
@@ -164,3 +167,32 @@ class WindowOracle:
             self.profile_samples.append(
                 [m for q in self.used for m in self.events.get(q, [])])
             self._pending_refit = False
+
+
+class InterpretedMonitor:
+    """The detector composition stepped by the interpreter (``astd.step``),
+    to run in lockstep with a compiled ``MonitorEngine``."""
+
+    def __init__(self, config):
+        from astd_monitor.detector import build_detector
+
+        self.root = build_detector(config)
+
+    def process(self, event_id: str, user_id: str, ts: str):
+        """Step one event; return the names of the actions it ran, in order,
+        and the alerts it raised."""
+        from astd_monitor.astd import EventMessage, step
+        from astd_monitor.calendar_periods import parse_timestamp
+        from astd_monitor.detector import EVENT_LABEL, USER_VAR
+
+        report = step(self.root, EventMessage(EVENT_LABEL, {
+            USER_VAR: user_id, "event_id": event_id, "creation": parse_timestamp(ts)}))
+        actions = [run.action for run in report.actions]
+        alerts = [run.result for run in report.actions
+                  if run.action == "check_event" and run.result is not None]
+        return actions, alerts
+
+    def entity_state(self, user_id: str):
+        from astd_monitor.detector import EntityState
+
+        return EntityState.capture(self.root.children[user_id].scope)

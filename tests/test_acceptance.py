@@ -35,7 +35,7 @@ from astd_monitor.trace import (
     run_trace,
 )
 
-from oracles import WindowOracle, naive_kde, silverman_reference
+from oracles import InterpretedMonitor, WindowOracle, naive_kde, silverman_reference
 
 
 @pytest.fixture
@@ -192,15 +192,6 @@ def _random_sequence(rng):
     return events
 
 
-def _profiles_equal(a, b):
-    if (a is None) != (b is None):
-        return False
-    if a is None:
-        return True
-    return (a.bandwidth == b.bandwidth and a.sample_count == b.sample_count
-            and np.array_equal(a.densities, b.densities))
-
-
 def test_criterion_4_runtime_semantics(announce):
     with criterion(announce, 4, "runtime semantics, 1000 sequences") as c:
         started = time.perf_counter()
@@ -210,12 +201,17 @@ def test_criterion_4_runtime_semantics(announce):
         for _ in range(1000):
             events = _random_sequence(rng)
             engine = MonitorEngine(config)
+            interpreted = InterpretedMonitor(config)
             alert_stream = []
             for event_id, user, ts in events:
                 alerts = engine.process(event_id, user, ts)
                 alert_stream.extend(alerts)
-                actions = [run.action for run in engine.last_report.actions]
+                actions, expected_alerts = interpreted.process(event_id, user, ts)
                 state = engine.entity_state(user)
+
+                # the compiled engine agrees with the interpreter, its spec
+                assert alerts == expected_alerts
+                assert state == interpreted.entity_state(user)
 
                 # bottom-up action order within the step
                 assert actions[:2] == ["add_event", "refresh_profile"]
@@ -245,7 +241,7 @@ def test_criterion_4_runtime_semantics(announce):
                 assert a.accumulated_periods == b.accumulated_periods
                 assert a.events_by_week == b.events_by_week
                 assert a.alerts == b.alerts
-                assert _profiles_equal(a.profile, b.profile)
+                assert a.profile == b.profile
 
             # replay determinism: identical alert stream and final state
             again = MonitorEngine(config)
@@ -305,10 +301,10 @@ def test_criterion_5_performance(announce, million_event_corpus):
         def sampler(events_read, engines):
             rss_samples.append(resident_memory_bytes())
             for engine in engines:
-                for child in engine.root.children.values():
-                    keys = set(child.scope["events_by_week"])
-                    live = (set(child.scope["used_periods"])
-                            | set(child.scope["accumulated_periods"]))
+                for attrs in engine.attributes().values():
+                    keys = set(attrs["events_by_week"])
+                    live = (set(attrs["used_periods"])
+                            | set(attrs["accumulated_periods"]))
                     # no stale weeks exist in this corpus, so the window
                     # lists must cover every retained key at any boundary
                     assert keys <= live
@@ -362,7 +358,7 @@ def test_criterion_6_snapshot_round_trip(announce):
         assert {p: len(a.events_by_week[p]) for p in a.used_periods} == \
             EXPECTED_FINAL_COUNTS
         assert a.alerts == b.alerts == list(EXPECTED_ALERTS)
-        assert _profiles_equal(a.profile, b.profile)
+        assert a.profile == b.profile
         assert [x.event_id for x in resumed_alerts] == \
             [x.event_id for x in straight_alerts] == ["e13"]
 

@@ -1,9 +1,13 @@
-"""Runtime semantics: building, guards, action order, isolation, scoping."""
+"""Runtime semantics: building, guards, action order, isolation, scoping;
+and the compiled form against the interpreter."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from astd_monitor import astd
 from astd_monitor.astd import (
     AttributeDecl,
     Automaton,
@@ -14,7 +18,6 @@ from astd_monitor.astd import (
     Interleave,
     Transition,
     build,
-    can_execute,
     step,
 )
 
@@ -106,47 +109,6 @@ def test_initializers_may_compute_values():
     spec = loop_automaton("a", attributes=[AttributeDecl("x", "make_x")])
     instance = build(spec, {"make_x": lambda: 41 + 1})
     assert instance.scope["x"] == 42
-
-
-# --------------------------------------------------------------------------
-# can_execute
-# --------------------------------------------------------------------------
-
-def test_guard_blocks_until_attribute_set():
-    registry, _ = logging_registry()
-    spec = loop_automaton("a", guard="flag_set", action="a_tr",
-                          attributes=[AttributeDecl("flag", "init_false"),
-                                      AttributeDecl("log", "init_log")])
-    instance = build(spec, registry)
-    assert can_execute(instance, ev()) is False
-    instance.scope["flag"] = True
-    assert can_execute(instance, ev()) is True
-
-
-def test_unguarded_loop_always_executes():
-    registry, _ = logging_registry()
-    spec = loop_automaton("a", action="a_tr",
-                          attributes=[AttributeDecl("log", "init_log")])
-    instance = build(spec, registry)
-    assert can_execute(instance, ev()) is True
-
-
-def test_interleave_accepts_never_seen_value_via_fresh_child():
-    registry, _ = logging_registry()
-    spec = Interleave(name="root", variable="user",
-                      child=loop_automaton("a", action="a_tr",
-                                           attributes=[AttributeDecl("log", "init_log")]))
-    instance = build(spec, registry)
-    assert can_execute(instance, ev(user="new-user")) is True
-    assert instance.children == {}  # probing must not create children
-
-
-def test_interleave_missing_variable_cannot_execute():
-    spec = Interleave(name="root", variable="user", child=loop_automaton("a"))
-    instance = build(spec, {})
-    assert can_execute(instance, ev(other=1)) is False
-    with pytest.raises(DispatchError):
-        step(instance, ev(other=1))
 
 
 # --------------------------------------------------------------------------
@@ -296,6 +258,13 @@ def test_interleave_refusing_fresh_child_leaves_no_trace():
     assert instance.children == {}
 
 
+def test_interleave_missing_variable_raises_dispatch_error():
+    spec = Interleave(name="root", variable="user", child=loop_automaton("a"))
+    instance = build(spec, {})
+    with pytest.raises(DispatchError):
+        step(instance, ev(other=1))
+
+
 def test_interleave_evict_drops_one_child():
     spec, registry = interleave_spec()
     instance = build(spec, registry)
@@ -386,3 +355,160 @@ def test_same_sequence_yields_identical_reports_and_state():
     second_reports, second_state = run()
     assert first_state == second_state
     assert first_reports == second_reports
+
+
+# --------------------------------------------------------------------------
+# Compiled form
+# --------------------------------------------------------------------------
+
+def per_key(child):
+    return Interleave(name="root", variable="user", child=child)
+
+
+def test_compiled_flow_runs_children_left_to_right_then_its_own_action():
+    spec, registry = flow_spec()
+    program = astd.compile(per_key(spec), registry)
+    assert program.step("e", {"user": "u1"}) is True
+    assert program.children["u1"].attrs["log"] == \
+        ["a_tr", "a_node", "b_tr", "b_node", "flow_node"]
+
+
+def test_compiled_left_childs_writes_are_visible_to_right_childs_guard():
+    registry, _ = logging_registry()
+
+    def raise_flag(payload, attrs):
+        attrs["flag"] = True
+    registry["raise_flag"] = raise_flag
+
+    spec = Flow(
+        name="f",
+        left=loop_automaton("a", action="raise_flag"),
+        right=loop_automaton("b", guard="flag_set", action="b_tr"),
+        attributes=[AttributeDecl("log", "init_log"),
+                    AttributeDecl("flag", "init_false")],
+    )
+    program = astd.compile(per_key(spec), registry)
+    program.step("e", {"user": "u1"})
+    assert program.children["u1"].attrs == {"log": ["b_tr"], "flag": True}
+
+
+def test_compiled_refusal_leaves_no_trace():
+    registry, _ = logging_registry()
+    child = loop_automaton("a", guard="flag_set", action="a_tr",
+                           node_action="a_node",
+                           attributes=[AttributeDecl("log", "init_log"),
+                                       AttributeDecl("flag", "init_false")])
+    program = astd.compile(per_key(child), registry)
+    assert program.step("e", {"user": "u1"}) is False
+    assert program.children == {}  # the fresh child was discarded
+    program.ensure_child("u1")
+    assert program.step("e", {"user": "u1"}) is False
+    assert program.step("other", {"user": "u1"}) is False
+    assert program.children["u1"].attrs == {"log": [], "flag": False}
+
+
+def test_compiled_first_matching_transition_fires_and_moves_state():
+    registry, _ = logging_registry()
+    spec = Automaton(
+        name="a", states=("s0", "s1", "s2"), initial="s0",
+        transitions=(Transition("e", "s0", "s1", action="a_tr"),
+                     Transition("e", "s0", "s2", action="b_tr"),
+                     Transition("e", "s1", "s0", action="b_tr")),
+        attributes=(AttributeDecl("log", "init_log"),),
+    )
+    program = astd.compile(per_key(spec), registry)
+    program.step("e", {"user": "u1"})
+    assert program.children["u1"].states == ["s1"]
+    program.step("e", {"user": "u1"})
+    assert program.children["u1"].states == ["s0"]
+    assert program.children["u1"].attrs["log"] == ["a_tr", "b_tr"]
+
+
+def test_compiled_children_are_isolated_and_created_lazily():
+    spec, registry = interleave_spec()
+    program = astd.compile(spec, registry)
+    assert program.children == {}
+    for user in ("u1", "u2", "u1"):
+        program.step("e", {"user": user})
+    assert program.children["u1"].attrs["log"] == ["a_tr", "a_tr"]
+    assert program.children["u2"].attrs["log"] == ["a_tr"]
+
+
+def test_compiled_missing_variable_raises_dispatch_error():
+    program = astd.compile(per_key(loop_automaton("a")), {})
+    with pytest.raises(DispatchError):
+        program.step("e", {"other": 1})
+
+
+def test_compile_validates_like_build():
+    with pytest.raises(BuildError, match="foo"):
+        astd.compile(per_key(loop_automaton("a", action="foo")), {})
+    bad = Automaton(name="a", states=("s0",), initial="s1", transitions=())
+    with pytest.raises(BuildError, match="s1"):
+        astd.compile(per_key(bad), {})
+
+
+ZERO = (AttributeDecl("counter", "init_zero"),)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(loop_automaton("a"), id="no-interleave-root"),
+    pytest.param(Interleave("root", "user", loop_automaton("a"), attributes=ZERO),
+                 id="root-attributes"),
+    pytest.param(Interleave("root", "user", loop_automaton("a"), action="a_tr"),
+                 id="root-action"),
+    pytest.param(per_key(Flow("f", loop_automaton("a", attributes=ZERO),
+                              loop_automaton("b"), attributes=ZERO)),
+                 id="shadowed-name"),
+    pytest.param(per_key(Flow("f", loop_automaton("a", attributes=ZERO),
+                              loop_automaton("b"),
+                              attributes=(AttributeDecl("log", "init_log"),))),
+                 id="attributes-on-two-levels"),
+    pytest.param(per_key(Flow("f", loop_automaton("a", attributes=ZERO),
+                              loop_automaton("b"))),
+                 id="attributes-below-the-top"),
+    pytest.param(per_key(Flow("f", loop_automaton("a"),
+                              Interleave("inner", "item", loop_automaton("b")))),
+                 id="nested-interleave"),
+])
+def test_compile_rejects_trees_it_cannot_flatten(spec):
+    registry, _ = logging_registry()
+    build(spec, registry)  # the interpreter runs every one of them
+    with pytest.raises(BuildError):
+        astd.compile(spec, registry)
+
+
+def test_compiled_program_matches_the_interpreter():
+    registry, _ = logging_registry()
+
+    def toggle_flag(payload, attrs):
+        attrs["flag"] = not attrs["flag"]
+    registry["toggle_flag"] = toggle_flag
+
+    left = Automaton(
+        name="a", states=("s0", "s1"), initial="s0",
+        transitions=(Transition("e", "s0", "s1", action="a_tr"),
+                     Transition("e", "s1", "s0", guard="flag_set", action="toggle_flag"),
+                     Transition("f", "s1", "s1", action="toggle_flag")),
+        action="a_node",
+    )
+    right = Automaton(
+        name="b", states=("s0",), initial="s0",
+        transitions=(Transition("f", "s0", "s0", guard="flag_set", action="b_tr"),),
+        action="b_node",
+    )
+    spec = per_key(Flow("f", left, right, action="flow_node",
+                        attributes=(AttributeDecl("log", "init_log"),
+                                    AttributeDecl("flag", "init_false"))))
+    interpreted = build(spec, registry)
+    program = astd.compile(spec, registry)
+    rng = random.Random(5)
+    for _ in range(400):
+        label, user = rng.choice("ef"), rng.choice(["u1", "u2", "u3"])
+        report = step(interpreted, ev(label, user=user))
+        assert program.step(label, {"user": user}) is report.executed
+        assert program.children.keys() == interpreted.children.keys()
+        for key, child in interpreted.children.items():
+            compiled = program.children[key]
+            assert compiled.attrs == child.scope.local_items()
+            assert compiled.states == [child.left.state, child.right.state]

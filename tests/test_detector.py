@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,12 +23,12 @@ from astd_monitor.detector import (
 from astd_monitor.kde import fit_profile, fuse_samples, select_bandwidth
 from astd_monitor.trace import TRACE_EVENTS, TRACE_USER
 
-from oracles import WindowOracle, naive_kde, silverman_reference
+from oracles import InterpretedMonitor, WindowOracle, naive_kde, silverman_reference
 
 CONFIG = DetectorConfig(n=3, k=10, threshold=0.001)
 
 
-def fresh_attrs(config=CONFIG):
+def fresh_attrs():
     return {
         "events_by_week": {},
         "used_periods": [],
@@ -33,9 +36,6 @@ def fresh_attrs(config=CONFIG):
         "start_kde": False,
         "user_kde": None,
         "alerts": [],
-        "n": config.n,
-        "k": config.k,
-        "threshold": config.threshold,
     }
 
 
@@ -159,7 +159,7 @@ def test_random_streams_match_the_window_oracle():
     days = np.arange(np.datetime64("2022-03-07"), np.datetime64("2022-07-04"))
     for trial in range(30):
         config = DetectorConfig(n=int(rng.integers(1, 4)), k=int(rng.integers(1, 15)))
-        attrs = fresh_attrs(config)
+        attrs = fresh_attrs()
         oracle = WindowOracle(config.n, config.k, config.max_gap_weeks)
         picks = np.sort(rng.choice(len(days), size=40))
         if rng.random() < 0.5:  # sprinkle disorder, including stale arrivals
@@ -202,7 +202,7 @@ def test_refresh_profile_matches_direct_fit():
 def test_refresh_honors_fixed_bandwidth():
     config = DetectorConfig(n=3, k=10, threshold=0.001,
                             bandwidth_method="fixed", bandwidth_value=2.5)
-    attrs = fresh_attrs(config)
+    attrs = fresh_attrs()
     feed(attrs, [t for _, t in TRACE_EVENTS[:12]], config)
     assert attrs["user_kde"].bandwidth == 2.5
 
@@ -226,7 +226,8 @@ def scored_attrs():
 
 def test_off_hours_event_alerts():
     attrs = scored_attrs()
-    alert = check_event(attrs, "e9", "u1", parse_timestamp("2022-06-22T03:00:00Z"))
+    alert = check_event(attrs, "e9", "u1", parse_timestamp("2022-06-22T03:00:00Z"),
+                        CONFIG)
     assert isinstance(alert, AlertRecord)
     assert alert.event_id == "e9"
     assert alert.user_id == "u1"
@@ -238,7 +239,8 @@ def test_off_hours_event_alerts():
 
 def test_event_at_the_training_peak_is_normal():
     attrs = scored_attrs()
-    assert check_event(attrs, "e9", "u1", parse_timestamp("2022-06-22T09:00:00Z")) is None
+    assert check_event(attrs, "e9", "u1", parse_timestamp("2022-06-22T09:00:00Z"),
+                       CONFIG) is None
     assert attrs["alerts"] == []
 
 
@@ -251,19 +253,30 @@ def test_alert_record_rejects_density_above_threshold():
 # Engine behavior
 # --------------------------------------------------------------------------
 
+def lockstep(events, config=CONFIG):
+    """Step ``events`` through the compiled engine and the interpreter side
+    by side; yield the interpreter's action names after each step, once the
+    alerts and the stepped user's state have been found equal."""
+    engine = MonitorEngine(config)
+    interpreted = InterpretedMonitor(config)
+    for event_id, user, ts in events:
+        alerts = engine.process(event_id, user, ts)
+        actions, expected = interpreted.process(event_id, user, ts)
+        assert alerts == expected
+        assert engine.entity_state(user) == interpreted.entity_state(user)
+        yield actions, alerts
+
+
 def test_no_alert_before_the_first_profile():
-    engine = MonitorEngine(CONFIG)
-    for event_id, ts in TRACE_EVENTS[:11]:
-        assert engine.process(event_id, TRACE_USER, ts) == []
-        actions = [run.action for run in engine.last_report.actions]
+    events = [(event_id, TRACE_USER, ts) for event_id, ts in TRACE_EVENTS[:11]]
+    for actions, alerts in lockstep(events):
+        assert alerts == []
         assert "check_event" not in actions  # guard holds while no profile
 
 
 def test_alerting_joins_the_step_once_a_profile_exists():
-    engine = MonitorEngine(CONFIG)
-    for event_id, ts in TRACE_EVENTS[:12]:
-        engine.process(event_id, TRACE_USER, ts)
-    actions = [run.action for run in engine.last_report.actions]
+    events = [(event_id, TRACE_USER, ts) for event_id, ts in TRACE_EVENTS[:12]]
+    actions, _ = list(lockstep(events))[-1]
     assert actions == ["add_event", "refresh_profile", "check_event"]
 
 
@@ -284,6 +297,20 @@ def test_interleaved_users_maintain_independent_state():
         assert np.array_equal(state.profile.densities, expected.profile.densities)
 
 
+def test_a_dropped_engine_is_freed_without_a_cyclic_collection():
+    engine = MonitorEngine(CONFIG)
+    for event_id, ts in TRACE_EVENTS:
+        engine.process(event_id, TRACE_USER, ts)
+    assert engine.profiles_computed == 1
+    dropped = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 def test_entity_state_is_a_deep_copy():
     engine = MonitorEngine(CONFIG)
     engine.process("e1", "u1", "2022-06-22T09:00:00Z")
@@ -297,6 +324,22 @@ def test_entity_state_is_a_deep_copy():
 
 def test_entity_state_unknown_user_is_none():
     assert MonitorEngine(CONFIG).entity_state("nobody") is None
+
+
+def test_entity_states_compare_by_value_including_the_profile():
+    def state_after(events):
+        engine = MonitorEngine(CONFIG)
+        for event_id, ts in events:
+            engine.process(event_id, TRACE_USER, ts)
+        return engine.entity_state(TRACE_USER)
+
+    state = state_after(TRACE_EVENTS[:12])
+    assert state.profile is not None
+    assert state == state_after(TRACE_EVENTS[:12])
+    assert state != state_after(TRACE_EVENTS[:11])       # no profile yet
+    refit = state_after(TRACE_EVENTS[:12])
+    refit.profile = fit_profile(refit.profile.sample, refit.profile.bandwidth * 2)
+    assert state != refit
 
 
 def test_export_and_adopt_round_trip():
@@ -316,8 +359,7 @@ def test_export_and_adopt_round_trip():
 def test_adopt_rejects_mid_step_state():
     engine = MonitorEngine(CONFIG)
     state = EntityState(events_by_week={}, used_periods=[], accumulated_periods=[],
-                        start_kde=True, profile=None, alerts=[], n=3, k=10,
-                        threshold=0.001)
+                        start_kde=True, profile=None, alerts=[])
     with pytest.raises(ValueError):
         engine.adopt_user("u1", state)
 
@@ -339,7 +381,7 @@ def test_counters_track_profiles_and_alerts():
 def valid_state(**overrides):
     fields = dict(events_by_week={202225: [540]}, used_periods=[202225],
                   accumulated_periods=[], start_kde=False, profile=None,
-                  alerts=[], n=3, k=10, threshold=0.001)
+                  alerts=[])
     fields.update(overrides)
     return EntityState(**fields)
 

@@ -320,3 +320,15 @@ def test_profile_keeps_its_sample_in_fit_order_read_only():
     with pytest.raises(ValueError):
         profile.sample[0] = 1
     assert sample.flags.writeable  # the caller's array is copied, not frozen
+
+
+def test_profiles_compare_by_bandwidth_sample_and_densities():
+    profile = fit_profile([1, 2, 3], 5.0)
+    assert profile == fit_profile([1, 2, 3], 5.0)
+    assert not profile != fit_profile([1, 2, 3], 5.0)
+    assert profile != fit_profile([1, 2, 3], 6.0)         # bandwidth
+    assert profile != fit_profile([3, 2, 1], 5.0)         # sample order
+    assert profile != KdeProfile(profile.densities * 0.5, 5.0, profile.sample)
+    assert profile != "profile"
+    with pytest.raises(TypeError):
+        hash(profile)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -173,6 +175,31 @@ def test_sharded_run_matches_single_shard_per_user():
     assert max(e.users_seen for e in engines3) < 6  # users actually spread out
 
 
+def test_sharded_run_reraises_a_worker_failure_with_its_queue_full(monkeypatch):
+    def slow_failure(self, event_id, user_id, creation):
+        time.sleep(3)  # long enough for the feeder to fill both queues
+        raise RuntimeError("worker failed")
+
+    monkeypatch.setattr(MonitorEngine, "process", slow_failure)
+    lines = trace_lines(events=[(f"e{i}", "2022-06-22T09:00:00Z")
+                                for i in range(200_000)])
+    outcome = []
+
+    def run():
+        try:
+            run_monitor(lines, CONFIG, None, workers=2)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "run_monitor hung after a worker failed"
+    assert len(outcome) == 1
+    assert isinstance(outcome[0], RuntimeError)
+    assert str(outcome[0]) == "worker failed"
+
+
 def test_resident_memory_is_measurable():
     assert resident_memory_bytes() > 0
 
@@ -312,8 +339,7 @@ def test_snapshot_restores_profiles_bit_for_bit(sample, circular, fixed):
     engine = MonitorEngine(config)
     engine.adopt_user("u", EntityState(
         events_by_week={202225: list(sample)}, used_periods=[202225],
-        accumulated_periods=[], start_kde=False, profile=profile, alerts=[],
-        n=config.n, k=config.k, threshold=config.threshold))
+        accumulated_periods=[], start_kde=False, profile=profile, alerts=[]))
     text = json.dumps(dump_state(engine))
     restored = restore_state(text)
     again = restored.entity_state("u").profile
