@@ -115,8 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="path for line-delimited JSON alerts, or - for stdout")
     run.add_argument("--state-out", default=None, help="write a state snapshot here")
     run.add_argument("--state-in", default=None, help="resume from this snapshot")
-    run.add_argument("--workers", type=int, default=1,
-                     help="shard count; users are hash-partitioned (default 1)")
     run.add_argument("--stats", action="store_true",
                      help="print run statistics as JSON to stderr")
     run.add_argument("--n", type=int, default=None, help="override: minimum window weeks")
@@ -157,11 +155,13 @@ def _write_state(path: str, snapshot: dict[str, Any]) -> None:
         raise
 
 
+class _AlertWriteError(Exception):
+    """Writing an alert failed; keeps sink errors apart from input errors."""
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = load_config(args.config, _collect_overrides(args))
-        if args.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {args.workers}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -208,12 +208,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
             opened.append(alert_file)
 
         def emit(alert) -> None:
-            alert_file.write(alert_to_json(alert) + "\n")
-            alert_file.flush()
+            try:
+                alert_file.write(alert_to_json(alert) + "\n")
+                alert_file.flush()
+            except OSError as exc:
+                raise _AlertWriteError(exc) from exc
 
-        stats, engines = run_monitor(source, config, emit,
-                                     initial_users=initial_users,
-                                     workers=args.workers)
+        try:
+            stats, engines = run_monitor(source, config, emit,
+                                         initial_users=initial_users)
+        except _AlertWriteError as exc:
+            print(f"error: cannot write alerts to {args.alerts}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        except (UnicodeDecodeError, OSError) as exc:
+            print(f"error: cannot read input {args.input}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
     finally:
         for fh in opened:
             fh.close()

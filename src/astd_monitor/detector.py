@@ -413,7 +413,6 @@ class MonitorEngine:
         self.config = config if config is not None else DetectorConfig()
         self.config.validate()
         self.alerts_emitted = 0
-        self.events_delivered = 0
         self._tally = tally = _Tally()
         self._program = compile_spec(detector_spec(), make_registry(
             self.config, on_refit=tally.count_refit, on_alert=tally.raised.append))
@@ -436,7 +435,6 @@ class MonitorEngine:
             "event_id": event_id,
             "creation": creation,
         })
-        self.events_delivered += 1
         raised = self._tally.raised
         if not raised:
             return []

@@ -20,10 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
-import threading
 import time
-import zlib
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -124,10 +121,6 @@ def alert_to_json(alert: AlertRecord) -> str:
     return json.dumps(asdict(alert), separators=(",", ":"))
 
 
-def _shard_of(user_id: str, workers: int) -> int:
-    return zlib.crc32(user_id.encode("utf-8")) % workers
-
-
 ProgressHook = Callable[[int, Sequence[MonitorEngine]], None]
 
 
@@ -137,22 +130,21 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
                 workers: int = 1,
                 on_progress: ProgressHook | None = None,
                 progress_every: int = 100_000) -> tuple[RunStats, list[MonitorEngine]]:
-    """Stream every line of ``source`` through the engine.
+    """Stream every line of ``source`` through one engine, in input order.
 
-    ``workers`` > 1 partitions users across that many independent engines
-    by a stable hash of the user id; per-user event order is preserved.
-    ``on_progress`` fires every ``progress_every`` read lines (single
-    worker only) with the running line count and the live engines.
+    ``workers`` accepts only 1. ``on_progress`` fires every
+    ``progress_every`` read lines with the running line count and the
+    engine list.
 
-    Returns the final statistics and the engines (one per worker).
+    Returns the final statistics and a one-element list holding the engine.
     """
-    config.validate()
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    engines = [MonitorEngine(config) for _ in range(workers)]
+    if workers != 1:
+        raise ConfigError(f"workers must be 1, got {workers}")
+    engine = MonitorEngine(config)  # validates the config
+    engines = [engine]
     if initial_users:
         for user_id, state in initial_users.items():
-            engines[_shard_of(user_id, workers)].adopt_user(user_id, state)
+            engine.adopt_user(user_id, state)
     emit = alert_sink if alert_sink is not None else (lambda alert: None)
 
     stats = RunStats()
@@ -160,89 +152,30 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
     peak_rss = resident_memory_bytes()
     started = time.perf_counter()
 
-    if workers == 1:
-        engine = engines[0]
-        for line in source:
-            if not line.strip():
-                continue
-            stats.events_read += 1
-            record = parse_record(line)
-            if isinstance(record, MalformedRecord):
-                stats.events_malformed += 1
-                by_reason[record.reason] = by_reason.get(record.reason, 0) + 1
-            else:
-                for alert in engine.process(record.event_id, record.user_id,
-                                            record.creation):
-                    emit(alert)
-            if progress_every and stats.events_read % progress_every == 0:
-                peak_rss = max(peak_rss, resident_memory_bytes())
-                if on_progress is not None:
-                    on_progress(stats.events_read, engines)
-    else:
-        stats.events_malformed = _run_sharded(source, engines, emit, stats)
-
-    stats.events_processed = stats.events_read - stats.events_malformed
-    stats.users_seen = sum(e.users_seen for e in engines)
-    stats.profiles_computed = sum(e.profiles_computed for e in engines)
-    stats.alerts_emitted = sum(e.alerts_emitted for e in engines)
-    stats.wall_time_s = time.perf_counter() - started
-    stats.peak_rss_bytes = max(peak_rss, resident_memory_bytes())
-    return stats, engines
-
-
-def _run_sharded(source: Iterable[str], engines: list[MonitorEngine],
-                 emit: Callable[[AlertRecord], None], stats: RunStats) -> int:
-    """Fan events out to one thread per engine; returns the malformed count."""
-    sink_lock = threading.Lock()
-    queues: list[queue.Queue] = [queue.Queue(maxsize=10_000) for _ in engines]
-    failures: list[BaseException] = []
-
-    def worker(engine: MonitorEngine, inbox: queue.Queue) -> None:
-        failed = False
-        while True:
-            record = inbox.get()
-            if record is None:
-                return
-            if failed:
-                # Keep draining, so the feeder never blocks on a full queue.
-                continue
-            try:
-                alerts = engine.process(record.event_id, record.user_id,
-                                        record.creation)
-                if alerts:
-                    with sink_lock:
-                        for alert in alerts:
-                            emit(alert)
-            except BaseException as exc:  # surfaced after join
-                failures.append(exc)
-                failed = True
-
-    threads = [threading.Thread(target=worker, args=(engine, inbox), daemon=True)
-               for engine, inbox in zip(engines, queues)]
-    for t in threads:
-        t.start()
-    malformed = 0
-    by_reason = stats.malformed_by_reason
-    workers = len(engines)
     for line in source:
         if not line.strip():
             continue
         stats.events_read += 1
         record = parse_record(line)
         if isinstance(record, MalformedRecord):
-            malformed += 1
+            stats.events_malformed += 1
             by_reason[record.reason] = by_reason.get(record.reason, 0) + 1
         else:
-            queues[_shard_of(record.user_id, workers)].put(record)
-        if failures:
-            break
-    for inbox in queues:
-        inbox.put(None)
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
-    return malformed
+            for alert in engine.process(record.event_id, record.user_id,
+                                        record.creation):
+                emit(alert)
+        if progress_every and stats.events_read % progress_every == 0:
+            peak_rss = max(peak_rss, resident_memory_bytes())
+            if on_progress is not None:
+                on_progress(stats.events_read, engines)
+
+    stats.events_processed = stats.events_read - stats.events_malformed
+    stats.users_seen = engine.users_seen
+    stats.profiles_computed = engine.profiles_computed
+    stats.alerts_emitted = engine.alerts_emitted
+    stats.wall_time_s = time.perf_counter() - started
+    stats.peak_rss_bytes = max(peak_rss, resident_memory_bytes())
+    return stats, engines
 
 
 # --------------------------------------------------------------------------
@@ -267,17 +200,17 @@ def _state_to_json(state: EntityState) -> dict[str, Any]:
 
 
 def dump_state(engine: MonitorEngine | Sequence[MonitorEngine]) -> dict[str, Any]:
-    """Serialize engine state (one engine or a list of shards) to a JSON
-    document. Must be called at a step boundary."""
-    engines = [engine] if isinstance(engine, MonitorEngine) else list(engine)
-    if not engines:
-        raise ValueError("dump_state needs at least one engine")
-    users: dict[str, EntityState] = {}
-    for e in engines:
-        users.update(e.export_users())
+    """Serialize engine state (one engine or the list ``run_monitor``
+    returns) to a JSON document. Must be called at a step boundary."""
+    if not isinstance(engine, MonitorEngine):
+        engines = list(engine)
+        if len(engines) != 1:
+            raise ValueError(f"dump_state needs one engine, got {len(engines)}")
+        engine = engines[0]
+    users = engine.export_users()
     return {
         "schema": STATE_SCHEMA,
-        "config": engines[0].config.to_dict(),
+        "config": engine.config.to_dict(),
         "users": {u: _state_to_json(users[u]) for u in sorted(users)},
     }
 

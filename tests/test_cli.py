@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from astd_monitor import cli
 from astd_monitor.cli import load_config, main, parse_config_text
 from astd_monitor.detector import ConfigError
 from astd_monitor.trace import TRACE_EVENTS, TRACE_USER
@@ -139,10 +140,44 @@ def test_run_invalid_flag_override_exits_2(tmp_path, trace_input, config_file):
     assert code == 2
 
 
-def test_run_bad_workers_exits_2(tmp_path, trace_input, config_file):
+def test_run_bad_workers_exits_2(tmp_path, trace_input, config_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                 "--alerts", str(tmp_path / "a.ldjson"), "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "a.ldjson").exists()
+
+
+def test_run_non_utf8_input_exits_1_without_traceback(tmp_path, config_file, capsys):
+    path = tmp_path / "events.ldjson"
+    path.write_bytes(b'{"Id":"e1","CreationTime":"2022-06-22T10:15:00Z","UserId":"u1"}\n'
+                     b"\xff\xfe bad\n")
+    state = tmp_path / "state.json"
+    # main returns instead of raising UnicodeDecodeError: no traceback
+    code = run_cli(["run", "--input", str(path), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"), "--state-out", str(state)])
+    assert code == 1
+    assert f"error: cannot read input {path}: " in capsys.readouterr().err
+    assert not state.exists()
+
+
+def test_run_failed_alert_write_exits_1_naming_the_alerts(tmp_path, trace_input,
+                                                          config_file, monkeypatch,
+                                                          capsys):
+    def disk_full(alert):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "alert_to_json", disk_full)
+    alerts = tmp_path / "a.ldjson"
+    state = tmp_path / "state.json"
     code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
-                    "--alerts", str(tmp_path / "a.ldjson"), "--workers", "0"])
-    assert code == 2
+                    "--alerts", str(alerts), "--state-out", str(state)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write alerts to {alerts}: " in err
+    assert "cannot read input" not in err
+    assert not state.exists()
 
 
 def test_run_corrupt_state_in_exits_1(tmp_path, trace_input, config_file, capsys):

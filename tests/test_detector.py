@@ -371,7 +371,6 @@ def test_counters_track_profiles_and_alerts():
     assert engine.users_seen == 1
     assert engine.profiles_computed == 1
     assert engine.alerts_emitted == 1
-    assert engine.events_delivered == len(TRACE_EVENTS)
 
 
 # --------------------------------------------------------------------------

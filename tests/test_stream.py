@@ -1,18 +1,16 @@
-"""Ingestion, run statistics, sharding, and state snapshots."""
+"""Ingestion, run statistics, and state snapshots."""
 
 from __future__ import annotations
 
 import io
 import json
-import threading
-import time
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from astd_monitor.detector import DetectorConfig, EntityState, MonitorEngine
+from astd_monitor.detector import ConfigError, DetectorConfig, EntityState, MonitorEngine
 from astd_monitor.kde import fit_profile, select_bandwidth
 from astd_monitor.stream import (
     MalformedRecord,
@@ -125,7 +123,7 @@ def test_runs_are_deterministic_byte_for_byte():
     assert run_once() == run_once()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1])  # the only value run_monitor accepts
 def test_malformed_lines_are_counted_by_reason(workers):
     lines = [line + "\n" for line, _ in MALFORMED_LINES] + trace_lines()
     stats, _ = run_monitor(lines, CONFIG, None, workers=workers)
@@ -136,68 +134,28 @@ def test_malformed_lines_are_counted_by_reason(workers):
     assert sum(stats.malformed_by_reason.values()) == stats.events_malformed
 
 
+@pytest.mark.parametrize("workers", [0, 2])
+def test_run_monitor_accepts_only_one_worker(workers):
+    with pytest.raises(ConfigError, match="workers must be 1"):
+        run_monitor(trace_lines(), CONFIG, None, workers=workers)
+
+
+def test_run_monitor_returns_its_one_engine_for_dump_state():
+    stats, engines = run_monitor(trace_lines(), CONFIG, None, workers=1)
+    assert len(engines) == 1
+    assert engines[0].users_seen == stats.users_seen == 1
+    assert dump_state(engines) == dump_state(engines[0])
+    with pytest.raises(ValueError, match="needs one engine, got 2"):
+        dump_state(engines + [MonitorEngine(CONFIG)])
+    with pytest.raises(ValueError, match="needs one engine, got 0"):
+        dump_state([])
+
+
 def test_stats_invariant_processed_equals_read_minus_malformed():
     lines = trace_lines() + ["garbage\n", '{"Id":"y"}\n']
     stats, _ = run_monitor(lines, CONFIG, None)
     assert stats.events_processed == stats.events_read - stats.events_malformed
     assert stats.wall_time_s > 0
-
-
-def test_sharded_run_matches_single_shard_per_user():
-    rng = np.random.default_rng(11)
-    users = [f"user-{i}" for i in range(6)]
-    lines = []
-    counter = 0
-    for event_id, ts in TRACE_EVENTS * 2:
-        for user in users:
-            if rng.random() < 0.7:
-                counter += 1
-                lines.append(json.dumps(
-                    {"Id": f"{event_id}-{user}-{counter}", "CreationTime": ts,
-                     "UserId": user}) + "\n")
-
-    def collect(workers):
-        alerts = []
-        stats, engines = run_monitor(lines, CONFIG, alerts.append, workers=workers)
-        per_user = {}
-        for a in alerts:
-            per_user.setdefault(a.user_id, []).append(a.event_id)
-        return stats, per_user, engines
-
-    stats1, alerts1, _ = collect(1)
-    stats3, alerts3, engines3 = collect(3)
-    assert alerts1 == alerts3  # per-user alert order is preserved
-    assert stats1.events_read == stats3.events_read
-    assert stats1.users_seen == stats3.users_seen == 6
-    assert stats1.alerts_emitted == stats3.alerts_emitted
-    assert stats1.profiles_computed == stats3.profiles_computed
-    assert sum(e.users_seen for e in engines3) == 6
-    assert max(e.users_seen for e in engines3) < 6  # users actually spread out
-
-
-def test_sharded_run_reraises_a_worker_failure_with_its_queue_full(monkeypatch):
-    def slow_failure(self, event_id, user_id, creation):
-        time.sleep(3)  # long enough for the feeder to fill both queues
-        raise RuntimeError("worker failed")
-
-    monkeypatch.setattr(MonitorEngine, "process", slow_failure)
-    lines = trace_lines(events=[(f"e{i}", "2022-06-22T09:00:00Z")
-                                for i in range(200_000)])
-    outcome = []
-
-    def run():
-        try:
-            run_monitor(lines, CONFIG, None, workers=2)
-        except BaseException as exc:
-            outcome.append(exc)
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive(), "run_monitor hung after a worker failed"
-    assert len(outcome) == 1
-    assert isinstance(outcome[0], RuntimeError)
-    assert str(outcome[0]) == "worker failed"
 
 
 def test_resident_memory_is_measurable():
