@@ -7,6 +7,7 @@ failed trace checkpoint), 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -187,9 +188,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _warn_threshold(config)
 
     opened: list[TextIO] = []
+    borrowed: io.TextIOWrapper | None = None
     try:
         if args.input == "-":
-            source: TextIO = sys.stdin
+            # Strict UTF-8 whatever the locale, as a file is read. Detached,
+            # not closed, at the end, so stdin itself stays open.
+            borrowed = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            source: TextIO = borrowed
         else:
             try:
                 source = open(args.input, "r", encoding="utf-8")
@@ -226,6 +231,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     finally:
         for fh in opened:
             fh.close()
+        if borrowed is not None:
+            borrowed.detach()
 
     if args.state_out is not None:
         try:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import astd_monitor
 from astd_monitor import cli
 from astd_monitor.cli import load_config, main, parse_config_text
 from astd_monitor.detector import ConfigError
@@ -159,6 +164,27 @@ def test_run_non_utf8_input_exits_1_without_traceback(tmp_path, config_file, cap
                     "--alerts", str(tmp_path / "a.ldjson"), "--state-out", str(state)])
     assert code == 1
     assert f"error: cannot read input {path}: " in capsys.readouterr().err
+    assert not state.exists()
+
+
+def test_run_non_utf8_stdin_exits_1_under_the_c_locale(tmp_path, config_file):
+    # Under the C locale Python reads sys.stdin with surrogateescape; the
+    # run must still decode stdin as strict UTF-8, as it decodes a file.
+    src = Path(astd_monitor.__file__).resolve().parents[1]
+    env = {**os.environ, "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    state = tmp_path / "state.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "astd_monitor.cli", "run", "--input", "-",
+         "--config", str(config_file), "--alerts", str(tmp_path / "a.ldjson"),
+         "--state-out", str(state)],
+        input=b'{"Id":"e1","CreationTime":"2022-06-22T10:15:00Z","UserId":"u1"}\n'
+              b"\xff\xfe bad\n",
+        capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    err = proc.stderr.decode("utf-8", "replace")
+    assert "error: cannot read input -: " in err
+    assert "Traceback" not in err
     assert not state.exists()
 
 

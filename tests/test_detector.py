@@ -20,7 +20,7 @@ from astd_monitor.detector import (
     check_event,
     refresh_profile,
 )
-from astd_monitor.kde import fit_profile, fuse_samples, select_bandwidth
+from astd_monitor.kde import density_at, fit_profile, fuse_samples, select_bandwidth
 from astd_monitor.trace import TRACE_EVENTS, TRACE_USER
 
 from oracles import InterpretedMonitor, WindowOracle, naive_kde, silverman_reference
@@ -242,6 +242,27 @@ def test_event_at_the_training_peak_is_normal():
     assert check_event(attrs, "e9", "u1", parse_timestamp("2022-06-22T09:00:00Z"),
                        CONFIG) is None
     assert attrs["alerts"] == []
+
+
+def test_check_event_alerts_at_exactly_the_threshold():
+    ten_am = parse_timestamp("2022-06-22T10:00:00Z")
+    midnight = parse_timestamp("2022-06-22T00:00:00Z")
+    # a grid-free profile (10 samples) and one with a grid (40 samples)
+    for m in (10, 40):
+        profile = fit_profile([600] * m, 5.0)
+        d = density_at(profile, 600)
+        for threshold, alerts in ((d, True), (d / 2, False)):
+            attrs = fresh_attrs()
+            attrs["user_kde"] = profile
+            config = DetectorConfig(threshold=threshold)
+            alert = check_event(attrs, "e1", "u1", ten_am, config)
+            assert (alert is not None) == alerts
+            if alerts:
+                assert alert.density == threshold
+        attrs = fresh_attrs()
+        attrs["user_kde"] = profile
+        assert check_event(attrs, "e2", "u1", midnight,          # far tail
+                           DetectorConfig(threshold=1e-9)) is not None
 
 
 def test_alert_record_rejects_density_above_threshold():

@@ -1,20 +1,24 @@
-"""Density estimation: bandwidth selection, grid fitting, classification."""
+"""Density estimation: bandwidth selection, fitting, scoring one minute."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from astd_monitor.detector import DetectorConfig, EntityState, MonitorEngine
 from astd_monitor.kde import (
+    _GRID_FREE_MAX,
     GRID_MINUTES,
     KdeProfile,
-    classify_minute,
     density_at,
     fit_profile,
     fuse_samples,
     select_bandwidth,
 )
+from astd_monitor.stream import dump_state, restore_state
 
 from oracles import (
     broadcast_kde,
@@ -246,13 +250,19 @@ def test_interior_samples_conserve_mass():
 
 
 # --------------------------------------------------------------------------
-# density_at / classify_minute
+# density_at
 # --------------------------------------------------------------------------
 
-def test_density_at_is_a_grid_lookup():
-    profile = fit_profile([720] * 3, 6.0)
-    assert density_at(profile, 720) == profile.densities[720]
-    assert density_at(profile, 0) == profile.densities[0]
+def test_density_at_equals_the_profile_densities():
+    # one profile per evaluation path: grid-free, direct grid, binned grid
+    for m in (3, 40, 300):
+        sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
+        for circular in (False, True):
+            profile = fit_profile(sample, 6.0, circular=circular)
+            assert (profile.grid is None) == (m <= _GRID_FREE_MAX)
+            densities = profile.densities
+            for g in (0, sample[0], 720, GRID_MINUTES - 1):
+                assert density_at(profile, g) == densities[g]
 
 
 def test_density_at_rejects_out_of_range():
@@ -263,22 +273,56 @@ def test_density_at_rejects_out_of_range():
         density_at(profile, 1440)
 
 
-def test_classify_boundary_is_inclusive():
-    profile = fit_profile([600] * 10, 5.0)
-    d = density_at(profile, 600)
-    assert classify_minute(profile, 600, threshold=d) is True       # == threshold
-    assert classify_minute(profile, 600, threshold=d / 2) is False  # above
-    assert classify_minute(profile, 0, threshold=1e-9) is True      # far tail
+# Scoring without a grid must give the direct path's bits at every minute,
+# for every m the direct path covers, so _GRID_FREE_MAX can move freely: the
+# profile is built grid-free directly, whatever the cut-off.
+@settings(deadline=None, max_examples=120)
+@given(shaped_samples(256), bandwidths, st.booleans())
+@example([0] * 256, 0.5, True)
+@example(list(range(0, 1280, 5)), None, False)
+@example([1439], 2000.0, True)
+def test_grid_free_density_at_is_bit_exact_with_broadcast(sample, bandwidth, circular):
+    h = silverman_numpy(sample) if bandwidth is None else bandwidth
+    profile = KdeProfile(None, h, np.array(sample), circular)
+    expected = broadcast_kde(sample, h, circular)
+    scored = np.array([density_at(profile, g) for g in range(GRID_MINUTES)])
+    assert np.array_equal(scored, expected)
+    assert np.array_equal(profile.densities, expected)
 
 
 @settings(deadline=None, max_examples=40)
-@given(minutes_lists, st.integers(0, GRID_MINUTES - 1),
-       st.floats(1e-9, 1.0), st.floats(0.01, 1.0))
-def test_classify_monotone_in_threshold(sample, minute, t1, shrink):
-    profile = fit_profile(sample, None)
-    t2 = t1 * shrink  # t2 <= t1
-    if not classify_minute(profile, minute, t1):
-        assert not classify_minute(profile, minute, t2)
+@given(st.lists(st.integers(0, GRID_MINUTES - 1), min_size=1, max_size=_GRID_FREE_MAX),
+       st.booleans())
+def test_small_window_profile_holds_no_grid(sample, circular):
+    profile = fit_profile(sample, None, circular=circular)
+    assert profile.grid is None
+    assert profile.densities.shape == (GRID_MINUTES,)
+    density_at(profile, sample[0])
+    # neither reading the densities nor scoring leaves a grid behind
+    for value in vars(profile).values():
+        assert not (isinstance(value, np.ndarray) and value.size >= GRID_MINUTES)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, GRID_MINUTES - 1), min_size=1, max_size=_GRID_FREE_MAX),
+       st.booleans(), st.one_of(st.none(), st.floats(0.5, 2000.0)))
+def test_grid_free_profiles_restore_bit_for_bit(sample, circular, fixed):
+    if fixed is None:
+        config = DetectorConfig(circular=circular)
+    else:
+        config = DetectorConfig(bandwidth_method="fixed", bandwidth_value=fixed,
+                                circular=circular)
+    profile = fit_profile(sample, fixed, circular=circular)
+    engine = MonitorEngine(config)
+    engine.adopt_user("u", EntityState(
+        events_by_week={202225: list(sample)}, used_periods=[202225],
+        accumulated_periods=[], start_kde=False, profile=profile, alerts=[]))
+    text = json.dumps(dump_state(engine))
+    restored = restore_state(text).entity_state("u").profile
+    assert restored.grid is None
+    assert restored == profile
+    assert np.array_equal(restored.densities, profile.densities)
+    assert json.dumps(dump_state(restore_state(text))) == text
 
 
 # --------------------------------------------------------------------------
@@ -329,6 +373,7 @@ def test_profiles_compare_by_bandwidth_sample_and_densities():
     assert profile != fit_profile([1, 2, 3], 6.0)         # bandwidth
     assert profile != fit_profile([3, 2, 1], 5.0)         # sample order
     assert profile != KdeProfile(profile.densities * 0.5, 5.0, profile.sample)
+    assert profile == KdeProfile(profile.densities, 5.0, profile.sample)  # grid or not
     assert profile != "profile"
     with pytest.raises(TypeError):
         hash(profile)
