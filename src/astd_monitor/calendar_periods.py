@@ -46,11 +46,6 @@ def parse_timestamp(text: str) -> datetime:
         raise TimestampError(f"invalid timestamp {text!r}: {exc}") from exc
 
 
-def format_timestamp(ts: datetime) -> str:
-    """Render a UTC datetime back to the ingest format (seconds precision)."""
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def compute_period(ts: datetime) -> Period:
     """Return the ISO year-week of ``ts`` encoded as YYYYWW."""
     iso_year, iso_week, _ = ts.isocalendar()

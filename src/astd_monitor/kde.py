@@ -13,12 +13,16 @@ Samples are integer minutes, so the kernel is only ever evaluated at the
   evaluates the kernel at the m offsets of the scored minute and adds the
   terms in sample order;
 * medium ones (m <= _DIRECT_PATH_MAX) compute the offset table once per
-  fit and sum one table slice per sample, in sample order, into the grid;
+  fit and add one table slice per sample, in sample order, into a
+  1440-float accumulator;
 * large ones bin the samples per minute and convolve the counts with the
-  table into the grid (exact, not an approximation).
+  table (exact, not an approximation), asking ``np.convolve`` for only the
+  1440 outputs that fall on the grid.
 
 The first two give the same bits at every minute. The binned sum agrees
-with them to float64 accuracy but not bit for bit.
+with them to float64 accuracy but not bit for bit; it has the bits of
+the full convolution, because numpy computes each output with the same
+dot product whichever outputs it is asked for.
 """
 
 from __future__ import annotations
@@ -43,14 +47,15 @@ _DIRECT_PATH_MAX = 256
 # Largest sample fitted without a grid: it keeps the sample and bandwidth, and
 # density_at sums the direct path's terms at the one scored minute, in the
 # same order, so moving this cut-off moves no bits, only time. Measured
-# in-process in three sweeps (2-vCPU Xeon VM, numpy 2.4): a fit with a grid
-# costs 64-105 us at m <= 16 and 505-683 us at 256, one without 5-21 us; a
-# score costs 0.2-0.3 us from the grid and 5-14 us without. So the grid pays
-# off once a refit gets more than about 8-17 scores at m <= 32, 18-29 at 64,
-# 26-50 at 128 and 38-80 at 256. The bench's sparse windows (all m <= 32)
-# get 2.5 scores per refit; disorder's direct-path windows (all m > 128) get
-# 59, and with this cut-off at 256 disorder's median event latency rose
-# 4-15% (three paired 5 s bench runs).
+# in-process in three sweeps (2-vCPU Xeon VM, numpy 2.4, Silverman
+# bandwidth): a fit with a grid costs 62-88 us at m <= 8, 92-131 us at 32
+# and 433-558 us at 256, one without 18-61 us; a score costs 0.2-0.4 us from
+# the grid and 8-13 us without. So the grid pays off once a refit gets more
+# than about 5-11 scores at m <= 32, 16 at 64, 25-35 at 128 and 40 at 256.
+# The bench's sparse windows (all m <= 32) get 2.5 scores per refit;
+# disorder's direct-path windows (all m > 128) get 59, and with this cut-off
+# at 256 disorder's median event latency rose 4-15% (three paired 5 s bench
+# runs).
 _GRID_FREE_MAX = 32
 
 # |offset| for every grid-to-sample offset -1439..1439 (index 1439 is offset
@@ -86,20 +91,18 @@ class KdeProfile:
     def __post_init__(self) -> None:
         if not self.bandwidth > 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        x = np.asarray(self.sample)
+        x = _read_only(self.sample)
         if x.ndim != 1 or x.size < 1 or x.dtype.kind not in "iu":
             raise ValueError(f"sample must be a non-empty 1-D integer array, "
                              f"got dtype {x.dtype} and shape {x.shape}")
-        x.setflags(write=False)
         object.__setattr__(self, "sample", x)
         if self.grid is None:
             return
-        dens = np.asarray(self.grid, dtype=np.float64)
+        dens = _read_only(self.grid, np.float64)
         if dens.shape != (GRID_MINUTES,):
             raise ValueError(f"profile must hold {GRID_MINUTES} densities, got shape {dens.shape}")
         if np.any(dens < 0.0) or not np.all(np.isfinite(dens)):
             raise ValueError("densities must be finite and non-negative")
-        dens.setflags(write=False)
         object.__setattr__(self, "grid", dens)
 
     @property
@@ -122,6 +125,17 @@ class KdeProfile:
     @property
     def sample_count(self) -> int:
         return self.sample.size
+
+
+def _read_only(value: object, dtype: type | None = None) -> np.ndarray:
+    """``value`` as a read-only array that nothing else can write through.
+    A read-only array that owns its data is kept as it is; anything else,
+    a caller's array in particular, is copied, never frozen in place."""
+    a = np.asarray(value, dtype=dtype)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
 
 def fuse_samples(
@@ -178,12 +192,41 @@ def _kernel_over(dist: np.ndarray, bandwidth: float) -> np.ndarray:
 def _direct_grid(x: np.ndarray, bandwidth: float, circular: bool) -> np.ndarray:
     """The direct sum at every grid minute, from one kernel table."""
     kernel = _kernel_over(_CIRCULAR_OFFSETS if circular else _OFFSETS, bandwidth)
-    # Row i is the kernel centred on x_i, read off the table. Summing the
-    # stacked rows over axis 0 adds the samples in sample order, and the
+    # The kernel centred on x_i is the table slice starting at 1439 - x_i.
+    # The slices are added into one accumulator left to right, in sample
+    # order, as summing their m x 1440 stack over axis 0 would: the
     # densities' low bits depend on that order.
-    last = GRID_MINUTES - 1
-    rows = np.array([kernel[last - xi : last - xi + GRID_MINUTES] for xi in x.tolist()])
-    return rows.sum(axis=0) / (x.size * bandwidth)
+    first, *rest = (GRID_MINUTES - 1 - x).tolist()
+    acc = kernel[first : first + GRID_MINUTES].copy()
+    for start in rest:
+        np.add(acc, kernel[start : start + GRID_MINUTES], out=acc)
+    return acc / (x.size * bandwidth)
+
+
+def _binned_grid(x: np.ndarray, bandwidth: float, circular: bool) -> np.ndarray:
+    """The per-minute counts convolved with the kernel table, at every grid
+    minute: the outputs full[r : r + 1440] of ``np.convolve(counts, k)``,
+    where k is the table with its exact-zero tails trimmed, L = 2r + 1 long."""
+    kernel = _kernel_over(_CIRCULAR_OFFSETS if circular else _OFFSETS, bandwidth)
+    counts = np.bincount(x, minlength=GRID_MINUTES).astype(np.float64)
+    # The tails are symmetric and underflow to exact zeros for small
+    # bandwidths; dropping them cannot change any sum, and it shortens the
+    # convolution a lot.
+    nonzero = np.flatnonzero(kernel)
+    k = kernel[nonzero[0] : nonzero[-1] + 1]
+    # Each mode computes an output with the same dot product as "full" mode,
+    # so asking for the grid's outputs alone keeps their bits. "valid" gives
+    # full[1439 : 2879], which is the grid when L = 2879. "same" gives the
+    # len(longer) outputs centred on the shorter operand: full[r : r + 1440]
+    # when L <= 1440, and full[719 : 719 + L] otherwise.
+    if k.size == 2 * GRID_MINUTES - 1:
+        dens = np.convolve(counts, k, "valid")
+    elif k.size <= GRID_MINUTES:
+        dens = np.convolve(counts, k, "same")
+    else:
+        start = k.size // 2 - (GRID_MINUTES // 2 - 1)
+        dens = np.convolve(counts, k, "same")[start : start + GRID_MINUTES]
+    return dens / (x.size * bandwidth)
 
 
 def fit_profile(
@@ -208,26 +251,20 @@ def fit_profile(
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
 
-    # A copy, never a view of the caller's array: the profile keeps it.
+    # A copy, never a view of the caller's array. It and the grid are made
+    # read-only here, so the profile keeps both without copying them again.
     x = np.array(sample, dtype=np.int64)
     if x.size and (x.min() < 0 or x.max() >= GRID_MINUTES):
         raise ValueError("sample minutes must lie in [0, 1439]")
+    x.setflags(write=False)
 
     if m <= _GRID_FREE_MAX:
         return KdeProfile(None, float(bandwidth), x, circular)
     if m <= _DIRECT_PATH_MAX:
         dens = _direct_grid(x, bandwidth, circular)
     else:
-        kernel = _kernel_over(_CIRCULAR_OFFSETS if circular else _OFFSETS, bandwidth)
-        counts = np.bincount(x, minlength=GRID_MINUTES).astype(np.float64)
-        # Trim exact-zero tails (exp underflow); dropping them cannot change
-        # any sum, and it shortens the convolution a lot for small bandwidths.
-        nonzero = np.flatnonzero(kernel)
-        lo, hi = nonzero[0], nonzero[-1]
-        full = np.convolve(counts, kernel[lo : hi + 1])
-        start = GRID_MINUTES - 1 - lo
-        dens = full[start : start + GRID_MINUTES] / (m * bandwidth)
-
+        dens = _binned_grid(x, bandwidth, circular)
+    dens.setflags(write=False)
     return KdeProfile(dens, float(bandwidth), x, circular)
 
 
@@ -243,7 +280,7 @@ def density_at(profile: KdeProfile, minute: MinuteOfDay) -> float:
     dist = np.abs(x - minute)
     if profile.circular:
         dist = np.minimum(dist, GRID_MINUTES - dist)
-    # np.add.accumulate adds left to right, in sample order, as the stacked
-    # rows of _direct_grid are summed; np.sum would add pairwise.
+    # np.add.accumulate adds left to right, in sample order, as _direct_grid
+    # adds its table slices; np.sum would add pairwise.
     total = np.add.accumulate(_kernel_over(dist, profile.bandwidth))[-1]
     return float(total / (x.size * profile.bandwidth))

@@ -2,9 +2,9 @@
 against. Everything here is deliberately written with different tools and
 code shapes than the package (statistics module, per-sample accumulation,
 straight-line window replay) so agreement is meaningful. The exceptions
-are ``broadcast_kde`` and ``silverman_numpy``: they keep the package's
-former arithmetic so that tests can require equal bits, not just close
-values, because alert records carry the density's last digits; and
+are ``broadcast_kde``, ``convolve_kde`` and ``silverman_numpy``: they keep
+the package's former arithmetic so that tests can require equal bits, not
+just close values, because alert records carry the density's last digits; and
 ``InterpretedMonitor``, which runs the detector's composition through the
 package's own interpreter, the executable specification of the compiled
 engine."""
@@ -63,6 +63,24 @@ def broadcast_kde(sample, bandwidth, circular=False):
     z = diff / bandwidth
     kernel = np.exp(-0.5 * z * z) / SQRT_TWO_PI
     return kernel.sum(axis=0) / (len(sample) * bandwidth)
+
+
+def convolve_kde(sample, bandwidth, circular=False):
+    """The package's former binned fit (m > 256), kept verbatim as a bit-exact
+    reference: every output of the full np.convolve of the per-minute counts
+    with the kernel table (exact-zero tails trimmed), sliced to the grid."""
+    x = np.asarray(sample, dtype=np.int64)
+    offsets = np.abs(np.arange(-(GRID - 1), GRID, dtype=np.float64))
+    if circular:
+        offsets = np.minimum(offsets, GRID - offsets)
+    z = offsets / bandwidth
+    kernel = np.exp(-0.5 * z * z) / SQRT_TWO_PI
+    counts = np.bincount(x, minlength=GRID).astype(np.float64)
+    nonzero = np.flatnonzero(kernel)
+    lo, hi = nonzero[0], nonzero[-1]
+    full = np.convolve(counts, kernel[lo : hi + 1])
+    start = GRID - 1 - lo
+    return full[start : start + GRID] / (len(sample) * bandwidth)
 
 
 def silverman_numpy(sample):

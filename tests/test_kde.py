@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from astd_monitor.detector import DetectorConfig, EntityState, MonitorEngine
 from astd_monitor.kde import (
+    _DIRECT_PATH_MAX,
     _GRID_FREE_MAX,
     GRID_MINUTES,
     KdeProfile,
@@ -22,6 +23,7 @@ from astd_monitor.stream import dump_state, restore_state
 
 from oracles import (
     broadcast_kde,
+    convolve_kde,
     naive_kde,
     naive_kde_pure,
     silverman_numpy,
@@ -81,10 +83,11 @@ def test_bandwidth_matches_reference_on_random_samples():
 # to a tolerance.
 
 @st.composite
-def shaped_samples(draw, max_size):
-    """Samples up to ``max_size`` minutes, drawn from numpy by seed so large
-    sizes stay cheap, in shapes from uniform to a few repeated minutes."""
-    m = draw(st.integers(1, max_size))
+def shaped_samples(draw, max_size, min_size=1):
+    """Samples of ``min_size`` to ``max_size`` minutes, drawn from numpy by
+    seed so large sizes stay cheap, in shapes from uniform to a few repeated
+    minutes."""
+    m = draw(st.integers(min_size, max_size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["uniform", "normal", "few"]))
     if shape == "uniform":
@@ -164,6 +167,24 @@ def test_fit_direct_path_is_bit_exact_with_broadcast(sample, bandwidth, circular
     profile = fit_profile(sample, bandwidth, circular=circular)
     assert profile.bandwidth == h
     assert np.array_equal(profile.densities, broadcast_kde(sample, h, circular))
+
+
+# The binned path (m > 256) asks numpy for the grid's outputs only; they
+# must keep the bits of the former full convolution. The trimmed kernel's
+# length L picks the convolve mode: h = 5 gives L <= 1440, h = 25 gives
+# 1440 < L < 2879 and h = 60, or any circular fit, the untrimmed L = 2879.
+@settings(deadline=None, max_examples=150)
+@given(shaped_samples(3000, min_size=_DIRECT_PATH_MAX + 1),
+       st.one_of(st.none(), st.floats(0.3, 2000.0)), st.booleans())
+@example(list(range(0, 1440, 3)), 5.0, False)
+@example(list(range(0, 1440, 3)), 25.0, False)
+@example(list(range(0, 1440, 3)), 60.0, False)
+@example([0] * 300 + [1439] * 300, 5.0, True)
+def test_fit_binned_path_is_bit_exact_with_full_convolution(sample, bandwidth, circular):
+    h = silverman_numpy(sample) if bandwidth is None else bandwidth
+    profile = fit_profile(sample, bandwidth, circular=circular)
+    assert profile.bandwidth == h
+    assert np.array_equal(profile.densities, convolve_kde(sample, h, circular))
 
 
 def test_fit_uniform_sample_is_flat_away_from_edges():
@@ -348,6 +369,25 @@ def test_profile_validation():
     bad[7] = np.nan
     with pytest.raises(ValueError):
         KdeProfile(bad, 5.0, three)             # non-finite density
+
+
+def test_profile_leaves_the_callers_arrays_writeable():
+    sample = np.array([1, 2, 3])
+    grid = np.full(GRID_MINUTES, 1.0 / GRID_MINUTES)
+    frozen_view = sample.view()
+    frozen_view.setflags(write=False)
+    profiles = [KdeProfile(None, 5.0, sample), KdeProfile(grid, 5.0, sample),
+                KdeProfile(None, 5.0, frozen_view)]
+    assert sample.flags.writeable and grid.flags.writeable
+    for profile in profiles:
+        assert not profile.sample.flags.writeable
+    assert not profiles[1].grid.flags.writeable
+    # the caller's later writes do not reach the profiles
+    sample[0] = 7
+    grid[0] = 1.0
+    for profile in profiles:
+        assert profile.sample.tolist() == [1, 2, 3]
+    assert profiles[1].grid[0] == 1.0 / GRID_MINUTES
 
 
 def test_profile_densities_are_read_only():
