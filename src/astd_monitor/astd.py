@@ -8,11 +8,15 @@ Three node kinds compose a finite tree:
 * ``Interleave``: quantified node that keeps one isolated child per value
   of a payload variable, created on first sight.
 
-Every node may declare attributes (state variables) and an optional node
-action. Attribute lookup is lexical: a child reads and writes attributes
-declared by its ancestors unless it shadows them. Within one event step,
-actions run bottom-up: a fired transition's action first, then the node
-actions of the enclosing nodes along the executed path.
+State is kept per key: the *top* is the root interleave's child, or the
+root itself when it is not an interleave. The top declares every attribute
+(state variable) and creates one flat attribute dict that all nodes below
+it read and write. No interleave lies below the root, and a root
+interleave declares no attributes and no action. Any other tree, such as
+a nested interleave, attributes on two levels or a shadowed name, raises
+``BuildError``. Automata and flows may carry a node action. Within one
+event step, actions run bottom-up: a fired transition's action first, then
+the node actions of the enclosing nodes along the executed path.
 
 Guards, actions and attribute initializers are plain callables registered
 by name and resolved when the tree is built. Guards and actions receive
@@ -20,22 +24,16 @@ by name and resolved when the tree is built. Guards and actions receive
 path can execute is a no-op and leaves no trace anywhere in the tree.
 
 Two ways run a tree. ``build`` and ``step`` interpret it: every step walks
-the instance tree, resolves attributes through chained scopes and returns
-a ``StepReport`` of the transitions fired and the actions run, with their
-results. The interpreter is the executable specification, and the tests
-hold the compiled form to it.
+the instance tree and returns a ``StepReport`` of the transitions fired and
+the actions run, with their results. The interpreter is the executable
+specification, and the tests hold the compiled form to it.
 
-``compile`` validates the tree as ``build`` does, resolves every guard,
-action and initializer once, and returns a ``Program`` whose ``step`` runs
-those closures in the interpreter's order and returns only whether the
-event executed; it allocates no event message and no report. Each key's
-child is one flat attribute dict plus the current state of each automaton.
-Only trees that flatten that way compile: an interleave at the root, with
-no attributes or action of its own, over flows and automata whose
-attributes are all declared on the interleave's child. Anything else,
-such as a nested interleave, attributes on two levels or a shadowed name,
-raises ``BuildError``. Because the dict is flat, an action that writes an
-undeclared name adds it, where the interpreter raises ``KeyError``.
+``compile`` accepts the same trees as ``build`` when the root is an
+interleave, resolves every guard, action and initializer once, and returns
+a ``Program`` whose ``step`` runs those closures in the interpreter's order
+and returns only whether the event executed; it allocates no event message
+and no report. Each key's child is its attribute dict plus the current
+state of each automaton.
 """
 
 from __future__ import annotations
@@ -140,62 +138,13 @@ class StepReport:
 
 
 # --------------------------------------------------------------------------
-# Attribute scoping
-# --------------------------------------------------------------------------
-
-class AttributeScope:
-    """Chained attribute store; names resolve to the nearest declaration."""
-
-    __slots__ = ("_values", "_parent")
-
-    def __init__(self, values: dict[str, Any], parent: "AttributeScope | None" = None):
-        self._values = values
-        self._parent = parent
-
-    def __contains__(self, name: str) -> bool:
-        scope: AttributeScope | None = self
-        while scope is not None:
-            if name in scope._values:
-                return True
-            scope = scope._parent
-        return False
-
-    def __getitem__(self, name: str) -> Any:
-        scope: AttributeScope | None = self
-        while scope is not None:
-            if name in scope._values:
-                return scope._values[name]
-            scope = scope._parent
-        raise KeyError(f"attribute {name!r} is not declared in any enclosing scope")
-
-    def __setitem__(self, name: str, value: Any) -> None:
-        scope: AttributeScope | None = self
-        while scope is not None:
-            if name in scope._values:
-                scope._values[name] = value
-                return
-            scope = scope._parent
-        raise KeyError(f"attribute {name!r} is not declared in any enclosing scope")
-
-    def get(self, name: str, default: Any = None) -> Any:
-        try:
-            return self[name]
-        except KeyError:
-            return default
-
-    def local_items(self) -> dict[str, Any]:
-        """The attributes declared at this level only."""
-        return dict(self._values)
-
-
-# --------------------------------------------------------------------------
 # Instances
 # --------------------------------------------------------------------------
 
 class AutomatonInstance:
     __slots__ = ("node", "scope", "state", "_registry")
 
-    def __init__(self, node: Automaton, registry: Registry, scope: AttributeScope):
+    def __init__(self, node: Automaton, registry: Registry, scope: dict[str, Any]):
         self.node = node
         self.scope = scope
         self.state = node.initial
@@ -225,7 +174,7 @@ class AutomatonInstance:
 class FlowInstance:
     __slots__ = ("node", "scope", "left", "right", "_registry")
 
-    def __init__(self, node: Flow, registry: Registry, scope: AttributeScope):
+    def __init__(self, node: Flow, registry: Registry, scope: dict[str, Any]):
         self.node = node
         self.scope = scope
         self._registry = registry
@@ -244,25 +193,12 @@ class FlowInstance:
 
 
 class InterleaveInstance:
-    __slots__ = ("node", "scope", "children", "_registry")
+    __slots__ = ("node", "children", "_registry")
 
-    def __init__(self, node: Interleave, registry: Registry, scope: AttributeScope):
+    def __init__(self, node: Interleave, registry: Registry):
         self.node = node
-        self.scope = scope
         self._registry = registry
         self.children: dict[Any, Any] = {}
-
-    def ensure_child(self, value: Any):
-        """Get or create the persistent child bound to ``value``."""
-        child = self.children.get(value)
-        if child is None:
-            child = _instantiate(self.node.child, self._registry, self.scope)
-            self.children[value] = child
-        return child
-
-    def evict(self, value: Any) -> bool:
-        """Drop the child bound to ``value``. Never called by the runtime."""
-        return self.children.pop(value, None) is not None
 
     def _step(self, ev: EventMessage, report: StepReport) -> bool:
         try:
@@ -272,23 +208,19 @@ class InterleaveInstance:
                 f"event {ev.label!r} has no {self.node.variable!r} in its payload"
             ) from None
         child = self.children.get(value)
-        fresh = child is None
-        if fresh:
-            child = _instantiate(self.node.child, self._registry, self.scope)
-        executed = child._step(ev, report)
-        if executed:
-            if fresh:
-                self.children[value] = child
-            _run_node_action(self.node, self._registry, self.scope, ev, report)
-        # A fresh child that refused the event is discarded: refusal leaves
-        # no trace.
-        return executed
+        if child is not None:
+            return child._step(ev, report)
+        child = _instantiate(self.node.child, self._registry)
+        if child._step(ev, report):
+            self.children[value] = child
+            return True
+        return False  # a fresh child that refused the event leaves no trace
 
 
 AstdInstance = Union[AutomatonInstance, FlowInstance, InterleaveInstance]
 
 
-def _run_node_action(node: AstdNode, registry: Registry, scope: AttributeScope,
+def _run_node_action(node: AstdNode, registry: Registry, scope: dict[str, Any],
                      ev: EventMessage, report: StepReport) -> None:
     if node.action is not None:
         result = registry[node.action](ev.payload, scope)
@@ -341,26 +273,56 @@ def _validate(node: AstdNode, registry: Registry) -> None:
         raise BuildError(f"unknown node kind: {node!r}")
 
 
-def _instantiate(node: AstdNode, registry: Registry, parent: AttributeScope | None):
-    scope = AttributeScope(
-        {decl.name: registry[decl.initializer]() for decl in node.attributes},
-        parent,
-    )
+def _check_shape(spec: AstdNode) -> None:
+    """Reject a tree whose per-key state is not one flat attribute dict.
+
+    The per-key top is the root interleave's child, or the root itself.
+    Every attribute is declared on the top, and no interleave lies below it.
+    """
+    top = spec.child if isinstance(spec, Interleave) else spec
+    if top is not spec and (spec.attributes or spec.action is not None):
+        raise BuildError(
+            f"interleave {spec.name!r} has attributes or an action, which all keys "
+            f"would share; state is kept per key only"
+        )
+    pending = [top]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Interleave):
+            raise BuildError(f"interleave {node.name!r} below the root")
+        if node is not top and node.attributes:
+            raise BuildError(
+                f"node {node.name!r} declares attributes below {top.name!r}: each "
+                f"key keeps one flat attribute dict, so every attribute must be "
+                f"declared on {top.name!r}"
+            )
+        if isinstance(node, Flow):
+            pending += (node.left, node.right)
+
+
+def _instantiate(node: AstdNode, registry: Registry, scope: dict[str, Any] | None = None):
+    """A fresh instance of ``node``. A per-key top (no ``scope`` given)
+    creates the one attribute dict that the nodes below it share."""
+    if isinstance(node, Interleave):
+        return InterleaveInstance(node, registry)
+    if scope is None:
+        scope = {decl.name: registry[decl.initializer]() for decl in node.attributes}
     if isinstance(node, Automaton):
         return AutomatonInstance(node, registry, scope)
-    if isinstance(node, Flow):
-        return FlowInstance(node, registry, scope)
-    return InterleaveInstance(node, registry, scope)
+    return FlowInstance(node, registry, scope)
 
 
 def build(spec: AstdNode, registry: Registry) -> AstdInstance:
     """Validate a composition tree and return a fresh runnable instance.
 
     All guard, action and initializer references must resolve in
-    ``registry``; the first missing one is reported by name.
+    ``registry``; the first missing one is reported by name. A tree that
+    does not keep one flat attribute dict per key (see the module
+    docstring) raises :class:`BuildError`.
     """
     _validate(spec, registry)
-    return _instantiate(spec, registry, None)
+    _check_shape(spec)
+    return _instantiate(spec, registry)
 
 
 def step(instance: AstdInstance, ev: EventMessage) -> StepReport:
@@ -431,20 +393,11 @@ class Program:
         return False  # a fresh child that refused the event leaves no trace
 
 
-def _compile_node(node: AstdNode, top: AstdNode, registry: Registry,
-                  automata: list[Automaton]) -> _Run:
-    if node is not top and node.attributes:
-        raise BuildError(
-            f"node {node.name!r} declares attributes below {top.name!r}: a compiled "
-            f"program keeps one flat attribute dict per key, so every attribute "
-            f"must be declared on {top.name!r}"
-        )
-    if isinstance(node, Interleave):
-        raise BuildError(f"interleave {node.name!r} below the root cannot be compiled")
+def _compile_node(node: AstdNode, registry: Registry, automata: list[Automaton]) -> _Run:
     action = registry[node.action] if node.action is not None else None
     if isinstance(node, Flow):
-        left = _compile_node(node.left, top, registry, automata)
-        right = _compile_node(node.right, top, registry, automata)
+        left = _compile_node(node.left, registry, automata)
+        right = _compile_node(node.right, registry, automata)
 
         def run_flow(label, payload, attrs, states):
             # Left first; the right child's guards see the left child's writes.
@@ -483,20 +436,15 @@ def _compile_node(node: AstdNode, top: AstdNode, registry: Registry,
 def compile(spec: AstdNode, registry: Registry) -> Program:
     """Validate a composition tree as :func:`build` does and compile it.
 
-    The tree must be an interleave without attributes or action of its own,
-    over a subtree of flows and automata whose attributes are all declared
-    on the subtree's top node. Any other shape raises :class:`BuildError`.
+    The root must also be an interleave; otherwise :class:`BuildError` is
+    raised.
     """
     _validate(spec, registry)
+    _check_shape(spec)
     if not isinstance(spec, Interleave):
         raise BuildError(f"compile needs an interleave at the root, not {spec.name!r}")
-    if spec.attributes or spec.action is not None:
-        raise BuildError(
-            f"interleave {spec.name!r} has attributes or an action, which all keys "
-            f"would share; a compiled program keeps state per key only"
-        )
     top = spec.child
     automata: list[Automaton] = []
-    run = _compile_node(top, top, registry, automata)
+    run = _compile_node(top, registry, automata)
     inits = tuple((decl.name, registry[decl.initializer]) for decl in top.attributes)
     return Program(spec.variable, inits, tuple(a.initial for a in automata), run)

@@ -56,7 +56,7 @@ from .calendar_periods import (
     count_events,
     insert_period,
     parse_timestamp,
-    week_distance,
+    period_start,
 )
 from .kde import KdeProfile, density_at, fit_profile, fuse_samples, select_bandwidth
 
@@ -66,6 +66,11 @@ USER_VAR = "user"
 
 class ConfigError(ValueError):
     """A monitor configuration value is out of range or unsupported."""
+
+
+def _is_number(value: Any, kind: type | tuple[type, ...]) -> bool:
+    """``isinstance(value, kind)``, but never for a bool (an int subclass)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -92,19 +97,22 @@ class DetectorConfig:
     circular: bool = False
 
     def validate(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_number(self.n, int) or self.n < 1:
             raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_number(self.k, int) or self.k < 1:
             raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (isinstance(self.threshold, (int, float)) and self.threshold > 0):
+        if not (_is_number(self.threshold, (int, float)) and self.threshold > 0):
             raise ConfigError(f"threshold must be > 0, got {self.threshold!r}")
-        if not isinstance(self.max_gap_weeks, int) or self.max_gap_weeks < 0:
+        if not _is_number(self.max_gap_weeks, int) or self.max_gap_weeks < 0:
             raise ConfigError(f"max_gap_weeks must be an integer >= 0, got {self.max_gap_weeks!r}")
         if self.bandwidth_method not in ("silverman", "fixed"):
             raise ConfigError(f"bandwidth_method must be 'silverman' or 'fixed', got {self.bandwidth_method!r}")
         if self.bandwidth_method == "fixed":
-            if not (isinstance(self.bandwidth_value, (int, float)) and self.bandwidth_value > 0):
-                raise ConfigError(f"fixed bandwidth requires bandwidth_value > 0, got {self.bandwidth_value!r}")
+            # Finite too: restore refuses an infinite profile bandwidth.
+            if not (_is_number(self.bandwidth_value, (int, float))
+                    and 0 < self.bandwidth_value < float("inf")):
+                raise ConfigError(f"fixed bandwidth requires a finite bandwidth_value > 0, "
+                                  f"got {self.bandwidth_value!r}")
         if self.kernel != "gaussian":
             raise ConfigError(f"unsupported kernel {self.kernel!r}")
         if not isinstance(self.circular, bool):
@@ -166,10 +174,22 @@ class EntityState:
 
     def check_invariants(self) -> None:
         """Raise ValueError on the first violated state invariant."""
+        valid: set[int] = set()
+        for name, periods in (("used_periods", self.used_periods),
+                              ("accumulated_periods", self.accumulated_periods),
+                              ("events_by_week", self.events_by_week)):
+            for period in periods:
+                if period not in valid:
+                    try:
+                        period_start(period)
+                    except ValueError as exc:
+                        raise ValueError(f"{name}: {period} is not an ISO week: {exc}") from None
+                    valid.add(period)
+        # Valid periods sort chronologically as plain ints.
         for name, periods in (("used_periods", self.used_periods),
                               ("accumulated_periods", self.accumulated_periods)):
             for a, b in zip(periods, periods[1:]):
-                if week_distance(a, b) <= 0:
+                if a >= b:
                     raise ValueError(f"{name} not strictly ascending: {a} before {b}")
         overlap = set(self.used_periods) & set(self.accumulated_periods)
         if overlap:
@@ -177,7 +197,7 @@ class EntityState:
         if self.accumulated_periods:
             if not self.used_periods:
                 raise ValueError("accumulated periods present with an empty window")
-            if week_distance(self.used_periods[-1], self.accumulated_periods[0]) <= 0:
+            if self.used_periods[-1] >= self.accumulated_periods[0]:
                 raise ValueError(
                     f"accumulated period {self.accumulated_periods[0]} does not follow "
                     f"window end {self.used_periods[-1]}"

@@ -258,8 +258,10 @@ def _state_from_json(data: Any, where: str, circular: bool) -> EntityState:
         try:
             period = int(raw_period)
         except (TypeError, ValueError):
+            period = None
+        if str(period) != raw_period:  # also refuses "2022_25", which re-dumps as "202225"
             raise RestoreError(f"{where}.events_by_week: bad period key "
-                               f"{raw_period!r}") from None
+                               f"{raw_period!r}")
         if not isinstance(minutes, list) or not _all_ints(minutes):
             raise RestoreError(f"{where}.events_by_week[{raw_period}]: "
                                f"expected a list of integers")
@@ -273,7 +275,9 @@ def _state_from_json(data: Any, where: str, circular: bool) -> EntityState:
     alerts = _require(data, "alerts", list, where)
     if not all(isinstance(a, str) for a in alerts):
         raise RestoreError(f"{where}.alerts: expected a list of strings")
-    profile = _profile_from_json(data.get("profile"), f"{where}.profile", circular)
+    if "profile" not in data:  # null is "no profile"; a lost key must not read as one
+        raise RestoreError(f"{where}: missing key 'profile'")
+    profile = _profile_from_json(data["profile"], f"{where}.profile", circular)
     state = EntityState(
         events_by_week=events,
         used_periods=list(used),

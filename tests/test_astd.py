@@ -3,9 +3,11 @@ and the compiled form against the interpreter."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from astd_monitor import astd
 from astd_monitor.astd import (
@@ -55,7 +57,7 @@ def logging_registry():
         "init_false": lambda: False,
         "flag_set": lambda payload, attrs: bool(attrs.get("flag", False)),
     }
-    for name in ("a_tr", "a_node", "b_tr", "b_node", "flow_node", "inter_node"):
+    for name in ("a_tr", "a_node", "b_tr", "b_node", "flow_node"):
         registry[name] = recorder(name)
     return registry, log
 
@@ -265,28 +267,6 @@ def test_interleave_missing_variable_raises_dispatch_error():
         step(instance, ev(other=1))
 
 
-def test_interleave_evict_drops_one_child():
-    spec, registry = interleave_spec()
-    instance = build(spec, registry)
-    step(instance, ev(user="u1"))
-    step(instance, ev(user="u2"))
-    assert instance.evict("u1") is True
-    assert instance.evict("u1") is False
-    assert set(instance.children) == {"u2"}
-
-
-def test_interleave_node_action_runs_after_child():
-    registry, _ = logging_registry()
-    child = loop_automaton("a", action="a_tr",
-                           attributes=[AttributeDecl("log", "init_log")])
-    spec = Interleave(name="root", variable="user", child=child,
-                      attributes=(AttributeDecl("log", "init_log"),),
-                      action="inter_node")
-    instance = build(spec, registry)
-    report = step(instance, ev(user="u1"))
-    assert [run.action for run in report.actions] == ["a_tr", "inter_node"]
-
-
 # --------------------------------------------------------------------------
 # Attribute scoping
 # --------------------------------------------------------------------------
@@ -307,34 +287,19 @@ def test_child_reads_and_writes_ancestor_attribute():
     assert instance.scope["counter"] == 2
 
 
-def test_child_declaration_shadows_ancestor():
-    registry, _ = logging_registry()
-
-    def bump(payload, attrs):
-        attrs["counter"] = attrs["counter"] + 1
-    registry["bump"] = bump
-
-    spec = Flow(name="f",
-                left=loop_automaton("a", action="bump",
-                                    attributes=[AttributeDecl("counter", "init_zero")]),
-                right=loop_automaton("b", action="bump"),
-                attributes=[AttributeDecl("counter", "init_zero")])
-    instance = build(spec, registry)
-    step(instance, ev())
-    assert instance.scope["counter"] == 1        # only the right child's write
-    assert instance.left.scope["counter"] == 1   # left wrote its own copy
-
-
-def test_undeclared_attribute_write_raises():
+def test_undeclared_attribute_write_adds_it_in_both_runtimes():
     registry, _ = logging_registry()
 
     def write_ghost(payload, attrs):
         attrs["ghost"] = 1
     registry["write_ghost"] = write_ghost
 
-    instance = build(loop_automaton("a", action="write_ghost"), registry)
-    with pytest.raises(KeyError, match="ghost"):
-        step(instance, ev())
+    spec = per_key(loop_automaton("a", action="write_ghost"))
+    instance = build(spec, registry)
+    step(instance, ev(user="u1"))
+    program = astd.compile(spec, registry)
+    program.step("e", {"user": "u1"})
+    assert instance.children["u1"].scope == program.children["u1"].attrs == {"ghost": 1}
 
 
 # --------------------------------------------------------------------------
@@ -473,16 +438,21 @@ ZERO = (AttributeDecl("counter", "init_zero"),)
 ])
 def test_compile_rejects_trees_it_cannot_flatten(spec):
     registry, _ = logging_registry()
-    build(spec, registry)  # the interpreter runs every one of them
+    if isinstance(spec, Interleave):  # build rejects every shape compile does
+        with pytest.raises(BuildError):
+            build(spec, registry)
+    else:  # except a non-interleave root, which only compile needs
+        build(spec, registry)
     with pytest.raises(BuildError):
         astd.compile(spec, registry)
 
 
+def toggle_flag(payload, attrs):
+    attrs["flag"] = not attrs["flag"]
+
+
 def test_compiled_program_matches_the_interpreter():
     registry, _ = logging_registry()
-
-    def toggle_flag(payload, attrs):
-        attrs["flag"] = not attrs["flag"]
     registry["toggle_flag"] = toggle_flag
 
     left = Automaton(
@@ -510,5 +480,60 @@ def test_compiled_program_matches_the_interpreter():
         assert program.children.keys() == interpreted.children.keys()
         for key, child in interpreted.children.items():
             compiled = program.children[key]
-            assert compiled.attrs == child.scope.local_items()
+            assert compiled.attrs == child.scope
             assert compiled.states == [child.left.state, child.right.state]
+
+
+GUARDS = st.sampled_from([None, "flag_set", "flag_clear"])
+ACTIONS = st.sampled_from([None, "a_tr", "a_node", "b_tr", "b_node", "flow_node",
+                           "toggle_flag"])
+
+
+@st.composite
+def automata(draw):
+    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 3))))
+    state = st.sampled_from(states)
+    transitions = draw(st.lists(
+        st.builds(Transition, st.sampled_from("ef"), state, state, GUARDS, ACTIONS),
+        max_size=6))
+    return Automaton("a", states, draw(state), tuple(transitions), action=draw(ACTIONS))
+
+
+def flows(depth):
+    """Flows nested up to ``depth`` deep over automata."""
+    if depth == 0:
+        return automata()
+    return st.one_of(automata(), st.builds(
+        lambda left, right, action: Flow("f", left, right, action=action),
+        flows(depth - 1), flows(depth - 1), ACTIONS))
+
+
+def automaton_states(instance):
+    """The interpreter's automaton states in pre-order, as a compiled child
+    keeps them."""
+    if isinstance(instance, astd.FlowInstance):
+        return automaton_states(instance.left) + automaton_states(instance.right)
+    return [instance.state]
+
+
+@settings(deadline=None, max_examples=150)
+@given(flows(3), st.integers(1, 3).flatmap(lambda users: st.lists(
+    st.tuples(st.sampled_from("ef"), st.sampled_from([f"u{i}" for i in range(users)])),
+    max_size=200)))
+def test_compiled_program_matches_the_interpreter_on_random_trees(top, events):
+    registry, _ = logging_registry()
+    registry["flag_clear"] = lambda payload, attrs: not attrs["flag"]
+    registry["toggle_flag"] = toggle_flag
+    spec = per_key(dataclasses.replace(
+        top, attributes=(AttributeDecl("log", "init_log"),
+                         AttributeDecl("flag", "init_false"))))
+    interpreted = build(spec, registry)
+    program = astd.compile(spec, registry)
+    for label, user in events:
+        report = step(interpreted, ev(label, user=user))
+        assert program.step(label, {"user": user}) is report.executed
+        assert list(program.children) == list(interpreted.children)
+        for key, child in interpreted.children.items():
+            compiled = program.children[key]
+            assert compiled.attrs == child.scope
+            assert compiled.states == automaton_states(child)

@@ -216,6 +216,29 @@ def test_run_corrupt_state_in_exits_1(tmp_path, trace_input, config_file, capsys
     assert "bad state file" in capsys.readouterr().err
 
 
+def test_run_state_in_with_an_invalid_week_exits_1(tmp_path, trace_input, config_file,
+                                                  capsys):
+    state_in = tmp_path / "state.json"
+    assert run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"),
+                    "--state-out", str(state_in)]) == 0
+    doc = json.loads(state_in.read_text())
+    doc["users"][TRACE_USER].update(events_by_week={"202299": [600]},
+                                    used_periods=[202299], accumulated_periods=[],
+                                    profile=None)
+    state_in.write_text(json.dumps(doc))
+    capsys.readouterr()
+    state_out = tmp_path / "out.json"
+    code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "b.ldjson"),
+                    "--state-in", str(state_in), "--state-out", str(state_out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: bad state file {state_in}: " in err
+    assert "Traceback" not in err
+    assert not state_out.exists()
+
+
 def test_run_state_round_trip_through_files(tmp_path, config_file, capsys):
     lines = [json.dumps({"Id": e, "CreationTime": t, "UserId": TRACE_USER}) + "\n"
              for e, t in TRACE_EVENTS]

@@ -61,6 +61,12 @@ def feed(attrs, timestamps, config=CONFIG):
     dict(bandwidth_method="fixed", bandwidth_value=0.0),
     dict(kernel="epanechnikov"),
     dict(circular="yes"),
+    dict(n=True),
+    dict(k=True),
+    dict(max_gap_weeks=False),
+    dict(threshold=True),
+    dict(bandwidth_method="fixed", bandwidth_value=True),
+    dict(bandwidth_method="fixed", bandwidth_value=float("inf")),
 ])
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ConfigError):

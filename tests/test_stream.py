@@ -251,6 +251,16 @@ def test_restore_rejects_truncated_document():
                  id="used_periods-bool"),
     pytest.param(lambda d: d["users"]["u1"].update(accumulated_periods=[True]),
                  "accumulated_periods", id="accumulated_periods-bool"),
+    pytest.param(lambda d: d["users"]["u1"].update(used_periods=[202299]),
+                 "used_periods: 202299 is not an ISO week", id="used-week-99"),
+    pytest.param(lambda d: d["users"]["u1"].update(accumulated_periods=[202299]),
+                 "accumulated_periods: 202299 is not an ISO week", id="accumulated-week-99"),
+    pytest.param(lambda d: d["users"]["u1"]["events_by_week"].update({"202153": [1]}),
+                 "events_by_week: 202153 is not an ISO week", id="events-week-53"),
+    pytest.param(lambda d: d["users"]["u1"]["events_by_week"].update({"2022_25": [1]}),
+                 "bad period key '2022_25'", id="events-key-not-canonical"),
+    pytest.param(lambda d: d["users"]["u1"].pop("profile"), "missing key 'profile'",
+                 id="profile-missing"),
 ])
 def test_restore_names_the_corrupt_location(mutate, location):
     _, engines = run_monitor(trace_lines(), CONFIG, None)
