@@ -11,9 +11,9 @@ Three node kinds compose a finite tree:
 State is kept per key: the *top* is the root interleave's child, or the
 root itself when it is not an interleave. The top declares every attribute
 (state variable) and creates one flat attribute dict that all nodes below
-it read and write. No interleave lies below the root, and a root
-interleave declares no attributes and no action. Any other tree, such as
-a nested interleave, attributes on two levels or a shadowed name, raises
+it read and write. No interleave lies below the root, and an interleave
+has no attributes and no action. Any other tree, such as a nested
+interleave, attributes on two levels or a shadowed name, raises
 ``BuildError``. Automata and flows may carry a node action. Within one
 event step, actions run bottom-up: a fired transition's action first, then
 the node actions of the enclosing nodes along the executed path.
@@ -23,22 +23,22 @@ by name and resolved when the tree is built. Guards and actions receive
 ``(payload, attrs)``; initializers take no arguments. An event that no
 path can execute is a no-op and leaves no trace anywhere in the tree.
 
-Two ways run a tree. ``build`` and ``step`` interpret it: every step walks
-the instance tree and returns a ``StepReport`` of the transitions fired and
-the actions run, with their results. The interpreter is the executable
-specification, and the tests hold the compiled form to it.
+Two ways run a tree, and both step an event as ``(label, payload)`` and
+return whether it executed. ``build`` and ``step`` interpret it: every
+step walks the instance tree and resolves each guard and action by name.
+The interpreter is the executable specification, and the tests hold the
+compiled form to it.
 
 ``compile`` accepts the same trees as ``build`` when the root is an
 interleave, resolves every guard, action and initializer once, and returns
-a ``Program`` whose ``step`` runs those closures in the interpreter's order
-and returns only whether the event executed; it allocates no event message
-and no report. Each key's child is its attribute dict plus the current
-state of each automaton.
+a ``Program`` whose ``step`` runs those closures in the interpreter's order.
+Each key's child is its attribute dict plus the current state of each
+automaton.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
 Registry = Mapping[str, Callable]
@@ -95,46 +95,9 @@ class Interleave:
     name: str
     variable: str
     child: "AstdNode"
-    attributes: tuple[AttributeDecl, ...] = ()
-    action: str | None = None
 
 
 AstdNode = Union[Automaton, Flow, Interleave]
-
-
-@dataclass(frozen=True)
-class EventMessage:
-    label: str
-    payload: Mapping[str, Any]
-
-
-# --------------------------------------------------------------------------
-# Execution report
-# --------------------------------------------------------------------------
-
-@dataclass
-class ActionRun:
-    """One callable executed during a step, in execution order."""
-
-    node: str
-    kind: str  # "transition" or "node"
-    action: str
-    result: Any = None
-
-
-@dataclass
-class FiredTransition:
-    node: str
-    event: str
-    source: str
-    target: str
-
-
-@dataclass
-class StepReport:
-    executed: bool = False
-    fired: list[FiredTransition] = field(default_factory=list)
-    actions: list[ActionRun] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------------
@@ -150,25 +113,18 @@ class AutomatonInstance:
         self.state = node.initial
         self._registry = registry
 
-    def _select(self, ev: EventMessage) -> Transition | None:
+    def _step(self, label: str, payload: Mapping[str, Any]) -> bool:
+        registry = self._registry
         for tr in self.node.transitions:
-            if tr.source != self.state or tr.event != ev.label:
+            if tr.source != self.state or tr.event != label:
                 continue
-            if tr.guard is None or self._registry[tr.guard](ev.payload, self.scope):
-                return tr
-        return None
-
-    def _step(self, ev: EventMessage, report: StepReport) -> bool:
-        tr = self._select(ev)
-        if tr is None:
-            return False
-        if tr.action is not None:
-            result = self._registry[tr.action](ev.payload, self.scope)
-            report.actions.append(ActionRun(self.node.name, "transition", tr.action, result))
-        self.state = tr.target
-        report.fired.append(FiredTransition(self.node.name, ev.label, tr.source, tr.target))
-        _run_node_action(self.node, self._registry, self.scope, ev, report)
-        return True
+            if tr.guard is None or registry[tr.guard](payload, self.scope):
+                if tr.action is not None:
+                    registry[tr.action](payload, self.scope)
+                self.state = tr.target
+                _run_node_action(self.node, registry, self.scope, payload)
+                return True
+        return False
 
 
 class FlowInstance:
@@ -181,13 +137,13 @@ class FlowInstance:
         self.left = _instantiate(node.left, registry, scope)
         self.right = _instantiate(node.right, registry, scope)
 
-    def _step(self, ev: EventMessage, report: StepReport) -> bool:
+    def _step(self, label: str, payload: Mapping[str, Any]) -> bool:
         # Left child always goes first; the right child's guards see any
         # attribute writes the left child made during this same step.
-        ran_left = self.left._step(ev, report)
-        ran_right = self.right._step(ev, report)
+        ran_left = self.left._step(label, payload)
+        ran_right = self.right._step(label, payload)
         if ran_left or ran_right:
-            _run_node_action(self.node, self._registry, self.scope, ev, report)
+            _run_node_action(self.node, self._registry, self.scope, payload)
             return True
         return False
 
@@ -200,18 +156,18 @@ class InterleaveInstance:
         self._registry = registry
         self.children: dict[Any, Any] = {}
 
-    def _step(self, ev: EventMessage, report: StepReport) -> bool:
+    def _step(self, label: str, payload: Mapping[str, Any]) -> bool:
         try:
-            value = ev.payload[self.node.variable]
+            value = payload[self.node.variable]
         except KeyError:
             raise DispatchError(
-                f"event {ev.label!r} has no {self.node.variable!r} in its payload"
+                f"event {label!r} has no {self.node.variable!r} in its payload"
             ) from None
         child = self.children.get(value)
         if child is not None:
-            return child._step(ev, report)
+            return child._step(label, payload)
         child = _instantiate(self.node.child, self._registry)
-        if child._step(ev, report):
+        if child._step(label, payload):
             self.children[value] = child
             return True
         return False  # a fresh child that refused the event leaves no trace
@@ -220,11 +176,10 @@ class InterleaveInstance:
 AstdInstance = Union[AutomatonInstance, FlowInstance, InterleaveInstance]
 
 
-def _run_node_action(node: AstdNode, registry: Registry, scope: dict[str, Any],
-                     ev: EventMessage, report: StepReport) -> None:
+def _run_node_action(node: Automaton | Flow, registry: Registry, scope: dict[str, Any],
+                     payload: Mapping[str, Any]) -> None:
     if node.action is not None:
-        result = registry[node.action](ev.payload, scope)
-        report.actions.append(ActionRun(node.name, "node", node.action, result))
+        registry[node.action](payload, scope)
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +194,13 @@ def _check_ref(registry: Registry, name: str, role: str, node: AstdNode) -> None
 
 
 def _validate(node: AstdNode, registry: Registry) -> None:
+    if isinstance(node, Interleave):
+        if not node.variable:
+            raise BuildError(f"interleave {node.name!r} has an empty variable name")
+        _validate(node.child, registry)
+        return
+    if not isinstance(node, (Automaton, Flow)):
+        raise BuildError(f"unknown node kind: {node!r}")
     names = [decl.name for decl in node.attributes]
     if len(set(names)) != len(names):
         raise BuildError(f"duplicate attribute names in node {node.name!r}")
@@ -262,15 +224,9 @@ def _validate(node: AstdNode, registry: Registry) -> None:
                 _check_ref(registry, tr.guard, "guard", node)
             if tr.action is not None:
                 _check_ref(registry, tr.action, "action", node)
-    elif isinstance(node, Flow):
+    else:
         _validate(node.left, registry)
         _validate(node.right, registry)
-    elif isinstance(node, Interleave):
-        if not node.variable:
-            raise BuildError(f"interleave {node.name!r} has an empty variable name")
-        _validate(node.child, registry)
-    else:
-        raise BuildError(f"unknown node kind: {node!r}")
 
 
 def _check_shape(spec: AstdNode) -> None:
@@ -280,11 +236,6 @@ def _check_shape(spec: AstdNode) -> None:
     Every attribute is declared on the top, and no interleave lies below it.
     """
     top = spec.child if isinstance(spec, Interleave) else spec
-    if top is not spec and (spec.attributes or spec.action is not None):
-        raise BuildError(
-            f"interleave {spec.name!r} has attributes or an action, which all keys "
-            f"would share; state is kept per key only"
-        )
     pending = [top]
     while pending:
         node = pending.pop()
@@ -325,11 +276,9 @@ def build(spec: AstdNode, registry: Registry) -> AstdInstance:
     return _instantiate(spec, registry)
 
 
-def step(instance: AstdInstance, ev: EventMessage) -> StepReport:
-    """Deliver one event and report every transition and action it ran."""
-    report = StepReport()
-    report.executed = instance._step(ev, report)
-    return report
+def step(instance: AstdInstance, label: str, payload: Mapping[str, Any]) -> bool:
+    """Deliver one event; return whether it executed."""
+    return instance._step(label, payload)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,8 @@ window). When the window minus its oldest week plus the accumulated weeks
 reaches ``k`` events again (with at least two accumulated events), the
 window advances: oldest week dropped, accumulated weeks adopted, the
 accumulator cleared. Weeks more than ``max_gap_weeks`` older than the
-window head are never adopted.
+window head are never adopted, and their events are not recorded: every
+week in ``events_by_week`` is a used or an accumulated one.
 """
 
 from __future__ import annotations
@@ -174,20 +175,14 @@ class EntityState:
 
     def check_invariants(self) -> None:
         """Raise ValueError on the first violated state invariant."""
-        valid: set[int] = set()
-        for name, periods in (("used_periods", self.used_periods),
-                              ("accumulated_periods", self.accumulated_periods),
-                              ("events_by_week", self.events_by_week)):
-            for period in periods:
-                if period not in valid:
-                    try:
-                        period_start(period)
-                    except ValueError as exc:
-                        raise ValueError(f"{name}: {period} is not an ISO week: {exc}") from None
-                    valid.add(period)
-        # Valid periods sort chronologically as plain ints.
         for name, periods in (("used_periods", self.used_periods),
                               ("accumulated_periods", self.accumulated_periods)):
+            for period in periods:
+                try:
+                    period_start(period)
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {period} is not an ISO week: {exc}") from None
+            # Valid periods sort chronologically as plain ints.
             for a, b in zip(periods, periods[1:]):
                 if a >= b:
                     raise ValueError(f"{name} not strictly ascending: {a} before {b}")
@@ -202,6 +197,10 @@ class EntityState:
                     f"accumulated period {self.accumulated_periods[0]} does not follow "
                     f"window end {self.used_periods[-1]}"
                 )
+        outside = set(self.events_by_week).difference(self.used_periods,
+                                                      self.accumulated_periods)
+        if outside:
+            raise ValueError(f"events_by_week holds weeks in neither list: {sorted(outside)}")
         if self.start_kde:
             raise ValueError("start_kde is set between steps")
         if self.profile is not None and not isinstance(self.profile, KdeProfile):
@@ -223,15 +222,12 @@ def add_event(attrs: MutableMapping[str, Any], creation: datetime,
               config: DetectorConfig) -> None:
     """Record one event and advance the sliding week window.
 
-    The minute is always appended to its week's list, even when the week
-    itself is too stale to join the window; such orphaned weeks are purged
-    at the next profile refresh.
+    The minute is recorded only when its week is in the window or the
+    accumulator afterwards; a week too stale to join either keeps nothing,
+    so ``events_by_week`` never holds a week outside the two lists.
     """
     period = compute_period(creation)
-    minute = compute_minute(creation)
     events = attrs["events_by_week"]
-    events.setdefault(period, []).append(minute)
-
     used = attrs["used_periods"]
     if (not used
             or len(used) < config.n
@@ -253,6 +249,8 @@ def add_event(attrs: MutableMapping[str, Any], creation: datetime,
 
     used = attrs["used_periods"]
     acc = attrs["accumulated_periods"]
+    if period in used or period in acc:
+        events.setdefault(period, []).append(compute_minute(creation))
     if len(used) < config.n or not acc:
         return
     accumulated = count_events(events, acc)
@@ -265,17 +263,12 @@ def add_event(attrs: MutableMapping[str, Any], creation: datetime,
 def refresh_profile(attrs: MutableMapping[str, Any], config: DetectorConfig) -> bool:
     """Refit the density profile if the window manager requested it.
 
-    Returns True when a profile was computed. Also purges event weeks that
-    belong to neither list, bounding memory between refreshes.
+    Returns True when a profile was computed.
     """
     if not attrs["start_kde"]:
         return False
     attrs["user_kde"] = None
-    events = attrs["events_by_week"]
-    live = set(attrs["used_periods"]) | set(attrs["accumulated_periods"])
-    for period in [p for p in events if p not in live]:
-        del events[period]
-    sample = fuse_samples(events, attrs["used_periods"])
+    sample = fuse_samples(attrs["events_by_week"], attrs["used_periods"])
     if not sample:
         raise AssertionError("profile refresh requested with no training data")
     if config.bandwidth_method == "fixed":
@@ -359,18 +352,16 @@ def make_registry(config: DetectorConfig, *,
     """Guards, actions, and initializers closed over one configuration.
 
     ``on_refit`` is called after each profile refit and ``on_alert`` with
-    each alert; the actions also return both results, which the
-    interpreter's step report records.
+    each alert; that is how the engine counts them. The actions return
+    nothing to the runtime.
     """
 
     def _add_event(payload, attrs):
         add_event(attrs, payload["creation"], config)
 
     def _refresh_profile(payload, attrs):
-        refit = refresh_profile(attrs, config)
-        if refit and on_refit is not None:
+        if refresh_profile(attrs, config) and on_refit is not None:
             on_refit()
-        return refit
 
     def _profile_exists(payload, attrs):
         return attrs["user_kde"] is not None
@@ -380,7 +371,6 @@ def make_registry(config: DetectorConfig, *,
                             payload["creation"], config)
         if alert is not None and on_alert is not None:
             on_alert(alert)
-        return alert
 
     return {
         "init_events_by_week": dict,

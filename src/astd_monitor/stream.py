@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .calendar_periods import TimestampError, parse_timestamp
+from .calendar_periods import TimestampError, parse_timestamp, period_start
 from .detector import (
     AlertRecord,
     ConfigError,
@@ -118,7 +118,8 @@ def resident_memory_bytes() -> int:
 
 
 def alert_to_json(alert: AlertRecord) -> str:
-    return json.dumps(asdict(alert), separators=(",", ":"))
+    # vars, not asdict: the same fields in the same order, without a deep copy.
+    return json.dumps(vars(alert), separators=(",", ":"))
 
 
 ProgressHook = Callable[[int, Sequence[MonitorEngine]], None]
@@ -253,6 +254,12 @@ def _state_from_json(data: Any, where: str, circular: bool) -> EntityState:
     if not isinstance(data, dict):
         raise RestoreError(f"{where}: expected an object")
     raw_events = _require(data, "events_by_week", dict, where)
+    used = _require(data, "used_periods", list, where)
+    accumulated = _require(data, "accumulated_periods", list, where)
+    for name, periods in (("used_periods", used), ("accumulated_periods", accumulated)):
+        if not _all_ints(periods):
+            raise RestoreError(f"{where}.{name}: expected a list of integers")
+    live = set(used) | set(accumulated)
     events: dict[int, list[int]] = {}
     for raw_period, minutes in raw_events.items():
         try:
@@ -265,12 +272,16 @@ def _state_from_json(data: Any, where: str, circular: bool) -> EntityState:
         if not isinstance(minutes, list) or not _all_ints(minutes):
             raise RestoreError(f"{where}.events_by_week[{raw_period}]: "
                                f"expected a list of integers")
-        events[period] = list(minutes)
-    used = _require(data, "used_periods", list, where)
-    accumulated = _require(data, "accumulated_periods", list, where)
-    for name, periods in (("used_periods", used), ("accumulated_periods", accumulated)):
-        if not _all_ints(periods):
-            raise RestoreError(f"{where}.{name}: expected a list of integers")
+        if period in live:
+            events[period] = list(minutes)
+            continue
+        # A week in neither list: a state/2 writer that recorded stale weeks
+        # kept them until its next refit purged them, so restore drops them.
+        try:
+            period_start(period)
+        except ValueError as exc:
+            raise RestoreError(f"{where}.events_by_week: {period} is not an ISO week: "
+                               f"{exc}") from None
     start_kde = _require(data, "start_kde", bool, where)
     alerts = _require(data, "alerts", list, where)
     if not all(isinstance(a, str) for a in alerts):

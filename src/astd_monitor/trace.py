@@ -100,6 +100,8 @@ def run_trace(config: DetectorConfig | None = None) -> TraceResult:
             details = []
             ok = _compare(details, "used_periods", state.used_periods, [202225])
             ok &= _compare(details, "accumulated_periods", state.accumulated_periods, [])
+            ok &= _compare(details, "stale week not recorded",
+                           202221 not in state.events_by_week, True)
             checkpoints.append(CheckpointResult("C2 stale week rejected", ok, details))
         elif index == 11:
             details = []
@@ -117,8 +119,6 @@ def run_trace(config: DetectorConfig | None = None) -> TraceResult:
             ok &= _compare(details, "profile sample count",
                            None if state.profile is None else state.profile.sample_count,
                            10)
-            ok &= _compare(details, "stale week purged",
-                           202221 not in state.events_by_week, True)
             ok &= _compare(details, "refresh flag consumed", not state.start_kde, True)
             checkpoints.append(CheckpointResult("C4 first profile", ok, details))
             profile_at_c4 = state.profile

@@ -134,9 +134,10 @@ def week_serial(period: int) -> int:
 class WindowOracle:
     """Straight-line replay of the sliding-window rules for one user.
 
-    Mirrors the engine's per-event behavior including the purge that runs
-    with each profile refit; profile fitting itself is left to the density
-    oracles (``profile_samples`` records each refit's training sample).
+    Mirrors the engine's per-event behavior: an event's minute is kept only
+    when its week ends up used or accumulated, so a stale week keeps
+    nothing. Profile fitting itself is left to the density oracles
+    (``profile_samples`` records each refit's training sample).
     """
 
     def __init__(self, n: int, k: int, max_gap_weeks: int = 3):
@@ -160,8 +161,6 @@ class WindowOracle:
 
     def feed(self, ts: str) -> None:
         p = period_of(ts)
-        self.events.setdefault(p, []).append(minute_of(ts))
-
         if (not self.used or self._count(self.used) < self.k
                 or len(self.used) < self.n or p <= self.used[-1]):
             if p not in self.used:
@@ -171,6 +170,8 @@ class WindowOracle:
                 self._pending_refit = True
             if p not in self.acc:
                 self.acc = self._insert(self.acc, p)
+        if p in self.used + self.acc:
+            self.events.setdefault(p, []).append(minute_of(ts))
 
         renewed = self.used[1:] + self.acc
         if (len(self.used) >= self.n and self._count(self.acc) >= 2
@@ -180,8 +181,6 @@ class WindowOracle:
             self.acc = []
 
         if self._pending_refit:
-            live = set(self.used) | set(self.acc)
-            self.events = {q: v for q, v in self.events.items() if q in live}
             self.profile_samples.append(
                 [m for q in self.used for m in self.events.get(q, [])])
             self._pending_refit = False
@@ -189,25 +188,40 @@ class WindowOracle:
 
 class InterpretedMonitor:
     """The detector composition stepped by the interpreter (``astd.step``),
-    to run in lockstep with a compiled ``MonitorEngine``."""
+    to run in lockstep with a compiled ``MonitorEngine``. Its registry's
+    three actions record their names in call order, and its ``on_alert``
+    hook collects the alerts."""
 
     def __init__(self, config):
-        from astd_monitor.detector import build_detector
+        from astd_monitor.astd import build
+        from astd_monitor.detector import detector_spec, make_registry
 
-        self.root = build_detector(config)
+        config.validate()
+        self._actions: list[str] = []
+        self._alerts: list = []
+        registry = make_registry(config, on_alert=self._alerts.append)
+        for name in ("add_event", "refresh_profile", "check_event"):
+            registry[name] = self._recording(name, registry[name])
+        self.root = build(detector_spec(), registry)
+
+    def _recording(self, name, action):
+        def run(payload, attrs):
+            self._actions.append(name)
+            action(payload, attrs)
+        return run
 
     def process(self, event_id: str, user_id: str, ts: str):
         """Step one event; return the names of the actions it ran, in order,
         and the alerts it raised."""
-        from astd_monitor.astd import EventMessage, step
+        from astd_monitor.astd import step
         from astd_monitor.calendar_periods import parse_timestamp
         from astd_monitor.detector import EVENT_LABEL, USER_VAR
 
-        report = step(self.root, EventMessage(EVENT_LABEL, {
-            USER_VAR: user_id, "event_id": event_id, "creation": parse_timestamp(ts)}))
-        actions = [run.action for run in report.actions]
-        alerts = [run.result for run in report.actions
-                  if run.action == "check_event" and run.result is not None]
+        step(self.root, EVENT_LABEL, {
+            USER_VAR: user_id, "event_id": event_id, "creation": parse_timestamp(ts)})
+        actions, alerts = self._actions[:], self._alerts[:]
+        self._actions.clear()
+        self._alerts.clear()
         return actions, alerts
 
     def entity_state(self, user_id: str):

@@ -15,17 +15,12 @@ from astd_monitor.astd import (
     Automaton,
     BuildError,
     DispatchError,
-    EventMessage,
     Flow,
     Interleave,
     Transition,
     build,
     step,
 )
-
-
-def ev(label="e", **payload):
-    return EventMessage(label, payload)
 
 
 def loop_automaton(name, *, guard=None, action=None, node_action=None,
@@ -48,7 +43,6 @@ def logging_registry():
     def recorder(name):
         def run(payload, attrs):
             attrs["log"] = attrs["log"] + [name]
-            return name
         return run
 
     registry = {
@@ -114,7 +108,7 @@ def test_initializers_may_compute_values():
 
 
 # --------------------------------------------------------------------------
-# step: ordering and reports
+# step: ordering and the executed flag
 # --------------------------------------------------------------------------
 
 def flow_spec():
@@ -133,16 +127,8 @@ def flow_spec():
 def test_flow_runs_children_left_to_right_then_its_own_action():
     spec, registry = flow_spec()
     instance = build(spec, registry)
-    report = step(instance, ev())
-    assert report.executed
+    assert step(instance, "e", {}) is True
     assert instance.scope["log"] == ["a_tr", "a_node", "b_tr", "b_node", "flow_node"]
-    assert [(run.node, run.kind, run.action) for run in report.actions] == [
-        ("a", "transition", "a_tr"),
-        ("a", "node", "a_node"),
-        ("b", "transition", "b_tr"),
-        ("b", "node", "b_node"),
-        ("f", "node", "flow_node"),
-    ]
 
 
 def test_transition_action_runs_before_node_action():
@@ -150,7 +136,7 @@ def test_transition_action_runs_before_node_action():
     spec = loop_automaton("a", action="a_tr", node_action="a_node",
                           attributes=[AttributeDecl("log", "init_log")])
     instance = build(spec, registry)
-    step(instance, ev())
+    step(instance, "e", {})
     assert instance.scope["log"] == ["a_tr", "a_node"]
 
 
@@ -169,8 +155,8 @@ def test_left_childs_writes_are_visible_to_right_childs_guard():
                     AttributeDecl("flag", "init_false")],
     )
     instance = build(spec, registry)
-    report = step(instance, ev())
-    assert [run.action for run in report.actions] == ["raise_flag", "b_tr"]
+    assert step(instance, "e", {}) is True
+    assert instance.scope == {"log": ["b_tr"], "flag": True}
 
 
 def test_refused_event_is_a_noop():
@@ -180,10 +166,8 @@ def test_refused_event_is_a_noop():
                           attributes=[AttributeDecl("log", "init_log"),
                                       AttributeDecl("flag", "init_false")])
     instance = build(spec, registry)
-    report = step(instance, ev())
-    assert not report.executed
-    assert report.actions == [] and report.fired == []
-    assert instance.scope["log"] == []  # node action did not run either
+    assert step(instance, "e", {}) is False
+    assert instance.scope == {"log": [], "flag": False}  # node action did not run either
 
 
 def test_wrong_label_is_refused():
@@ -191,8 +175,8 @@ def test_wrong_label_is_refused():
     spec = loop_automaton("a", action="a_tr",
                           attributes=[AttributeDecl("log", "init_log")])
     instance = build(spec, registry)
-    report = step(instance, ev(label="other"))
-    assert not report.executed and instance.scope["log"] == []
+    assert step(instance, "other", {}) is False
+    assert instance.scope["log"] == []
 
 
 def test_first_matching_transition_in_declaration_order_fires():
@@ -204,19 +188,19 @@ def test_first_matching_transition_in_declaration_order_fires():
         attributes=(AttributeDecl("log", "init_log"),),
     )
     instance = build(spec, registry)
-    report = step(instance, ev())
+    assert step(instance, "e", {}) is True
     assert instance.state == "s1"
-    assert [f.target for f in report.fired] == ["s1"]
+    assert instance.scope["log"] == ["a_tr"]
 
 
-def test_report_fired_records_state_change():
+def test_fired_transition_changes_state():
     spec = Automaton(name="a", states=("off", "on"), initial="off",
                      transitions=(Transition("e", "off", "on"),))
     instance = build(spec, {})
-    report = step(instance, ev())
+    assert step(instance, "e", {}) is True
     assert instance.state == "on"
-    fired = report.fired[0]
-    assert (fired.node, fired.source, fired.target) == ("a", "off", "on")
+    assert step(instance, "e", {}) is False  # no transition leaves "on"
+    assert instance.state == "on"
 
 
 # --------------------------------------------------------------------------
@@ -233,9 +217,9 @@ def interleave_spec():
 def test_interleave_children_are_isolated():
     spec, registry = interleave_spec()
     instance = build(spec, registry)
-    step(instance, ev(user="u1"))
-    step(instance, ev(user="u2"))
-    step(instance, ev(user="u1"))
+    step(instance, "e", {"user": "u1"})
+    step(instance, "e", {"user": "u2"})
+    step(instance, "e", {"user": "u1"})
     assert instance.children["u1"].scope["log"] == ["a_tr", "a_tr"]
     assert instance.children["u2"].scope["log"] == ["a_tr"]
 
@@ -244,7 +228,7 @@ def test_interleave_children_created_lazily_on_first_sight():
     spec, registry = interleave_spec()
     instance = build(spec, registry)
     assert instance.children == {}
-    step(instance, ev(user="u1"))
+    step(instance, "e", {"user": "u1"})
     assert set(instance.children) == {"u1"}
 
 
@@ -255,8 +239,7 @@ def test_interleave_refusing_fresh_child_leaves_no_trace():
                                        AttributeDecl("flag", "init_false")])
     instance = build(Interleave(name="root", variable="user", child=child),
                      registry)
-    report = step(instance, ev(user="u1"))
-    assert not report.executed
+    assert step(instance, "e", {"user": "u1"}) is False
     assert instance.children == {}
 
 
@@ -264,7 +247,7 @@ def test_interleave_missing_variable_raises_dispatch_error():
     spec = Interleave(name="root", variable="user", child=loop_automaton("a"))
     instance = build(spec, {})
     with pytest.raises(DispatchError):
-        step(instance, ev(other=1))
+        step(instance, "e", {"other": 1})
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +266,7 @@ def test_child_reads_and_writes_ancestor_attribute():
                 right=loop_automaton("b", action="bump"),
                 attributes=[AttributeDecl("counter", "init_zero")])
     instance = build(spec, registry)
-    step(instance, ev())
+    step(instance, "e", {})
     assert instance.scope["counter"] == 2
 
 
@@ -296,7 +279,7 @@ def test_undeclared_attribute_write_adds_it_in_both_runtimes():
 
     spec = per_key(loop_automaton("a", action="write_ghost"))
     instance = build(spec, registry)
-    step(instance, ev(user="u1"))
+    step(instance, "e", {"user": "u1"})
     program = astd.compile(spec, registry)
     program.step("e", {"user": "u1"})
     assert instance.children["u1"].scope == program.children["u1"].attrs == {"ghost": 1}
@@ -306,20 +289,21 @@ def test_undeclared_attribute_write_adds_it_in_both_runtimes():
 # Replay determinism
 # --------------------------------------------------------------------------
 
-def test_same_sequence_yields_identical_reports_and_state():
-    events = [ev(user=u) for u in ("u1", "u2", "u1", "u3", "u2", "u1")]
+def test_same_sequence_yields_identical_results_and_state():
+    users = ("u1", "u2", "u1", "u3", "u2", "u1")
+    labels = ("e", "other")
 
     def run():
         spec, registry = interleave_spec()
         instance = build(spec, registry)
-        reports = [step(instance, e) for e in events]
+        executed = [step(instance, label, {"user": u}) for u in users for label in labels]
         state = {u: child.scope["log"] for u, child in instance.children.items()}
-        return reports, state
+        return executed, state
 
-    first_reports, first_state = run()
-    second_reports, second_state = run()
+    first_executed, first_state = run()
+    second_executed, second_state = run()
     assert first_state == second_state
-    assert first_reports == second_reports
+    assert first_executed == second_executed == [True, False] * len(users)
 
 
 # --------------------------------------------------------------------------
@@ -418,10 +402,6 @@ ZERO = (AttributeDecl("counter", "init_zero"),)
 
 @pytest.mark.parametrize("spec", [
     pytest.param(loop_automaton("a"), id="no-interleave-root"),
-    pytest.param(Interleave("root", "user", loop_automaton("a"), attributes=ZERO),
-                 id="root-attributes"),
-    pytest.param(Interleave("root", "user", loop_automaton("a"), action="a_tr"),
-                 id="root-action"),
     pytest.param(per_key(Flow("f", loop_automaton("a", attributes=ZERO),
                               loop_automaton("b"), attributes=ZERO)),
                  id="shadowed-name"),
@@ -475,8 +455,7 @@ def test_compiled_program_matches_the_interpreter():
     rng = random.Random(5)
     for _ in range(400):
         label, user = rng.choice("ef"), rng.choice(["u1", "u2", "u3"])
-        report = step(interpreted, ev(label, user=user))
-        assert program.step(label, {"user": user}) is report.executed
+        assert step(interpreted, label, {"user": user}) is program.step(label, {"user": user})
         assert program.children.keys() == interpreted.children.keys()
         for key, child in interpreted.children.items():
             compiled = program.children[key]
@@ -530,8 +509,7 @@ def test_compiled_program_matches_the_interpreter_on_random_trees(top, events):
     interpreted = build(spec, registry)
     program = astd.compile(spec, registry)
     for label, user in events:
-        report = step(interpreted, ev(label, user=user))
-        assert program.step(label, {"user": user}) is report.executed
+        assert step(interpreted, label, {"user": user}) is program.step(label, {"user": user})
         assert list(program.children) == list(interpreted.children)
         for key, child in interpreted.children.items():
             compiled = program.children[key]

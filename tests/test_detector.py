@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import gc
 import weakref
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from astd_monitor.calendar_periods import parse_timestamp
 from astd_monitor.detector import (
@@ -113,11 +115,43 @@ def test_window_starts_with_first_week():
     assert attrs["accumulated_periods"] == []
 
 
-def test_stale_week_does_not_enter_the_window_but_is_recorded():
+def test_stale_week_does_not_enter_the_window_and_is_not_recorded():
     attrs = fresh_attrs()
     feed(attrs, ["2022-06-22T09:00:00Z", "2022-05-23T10:00:00Z"])
     assert attrs["used_periods"] == [202225]
-    assert attrs["events_by_week"][202221] == [600]  # purged at next refresh
+    assert attrs["events_by_week"] == {202225: [540]}
+
+
+def week_day(period, weekday=1, time="09:00"):
+    """A timestamp on ``weekday`` (ISO, 1 = Monday) of the encoded week."""
+    day = date.fromisocalendar(period // 100, period % 100, weekday)
+    return f"{day.isoformat()}T{time}:00Z"
+
+
+def test_stale_weeks_keep_no_minutes_without_a_refit():
+    # A full window W30-W32 and nothing newer, so no refit ever runs:
+    # a thousand events in distinct stale weeks must leave no week behind.
+    attrs = fresh_attrs()
+    feed(attrs, [week_day(p, d) for p in (202230, 202231, 202232) for d in (1, 2, 3, 4)])
+    stale = [week_day(int(f"{year}{week:02d}")) for year in range(2001, 2022)
+             for week in range(1, 53)][:1000]
+    feed(attrs, stale)
+    assert attrs["used_periods"] == [202230, 202231, 202232]
+    assert sorted(attrs["events_by_week"]) == [202230, 202231, 202232]
+
+
+def test_a_rejected_week_readmitted_later_holds_only_its_new_minutes():
+    attrs = fresh_attrs()
+    feed(attrs, [week_day(p, d) for p in (202201, 202202, 202203) for d in (1, 2, 3, 4, 5)])
+    feed(attrs, [week_day(202211)])
+    assert attrs["accumulated_periods"] == [202211]
+    feed(attrs, [week_day(202206, 1), week_day(202206, 2)])  # 5 weeks before W11
+    assert 202206 not in attrs["events_by_week"]
+    feed(attrs, [week_day(202211, 2)])                       # the window advances
+    assert attrs["used_periods"] == [202202, 202203, 202211]
+    feed(attrs, [week_day(202206, 3, "07:30")])               # now an interior week
+    assert attrs["used_periods"] == [202202, 202203, 202206, 202211]
+    assert attrs["events_by_week"][202206] == [450]
 
 
 def test_window_fills_across_weeks():
@@ -179,6 +213,37 @@ def test_random_streams_match_the_window_oracle():
             assert attrs["used_periods"] == oracle.used
             assert attrs["accumulated_periods"] == oracle.acc
             assert attrs["events_by_week"] == oracle.events
+
+
+WEEK_OFFSETS = st.one_of(
+    st.integers(-6, 10),      # around the window: stale, interior, next weeks
+    st.integers(-300, -7),    # far stale
+    st.integers(11, 600),     # far future
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(n=st.integers(1, 4), k=st.integers(1, 12), max_gap=st.integers(0, 4),
+       events=st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2"]), WEEK_OFFSETS,
+                                 st.integers(0, 6), st.integers(0, 1439)),
+                       max_size=120))
+def test_retained_weeks_stay_inside_the_window_lists(n, k, max_gap, events):
+    # Offsets count weeks from 2021-W50, so the stream crosses ISO years.
+    config = DetectorConfig(n=n, k=k, max_gap_weeks=max_gap)
+    engine = MonitorEngine(config)
+    oracles = {}
+    for i, (user, offset, weekday, minute) in enumerate(events):
+        day = date(2021, 12, 13) + timedelta(weeks=offset, days=weekday)
+        ts = f"{day.isoformat()}T{minute // 60:02d}:{minute % 60:02d}:00Z"
+        engine.process(f"e{i}", user, ts)
+        oracle = oracles.setdefault(user, WindowOracle(n, k, max_gap))
+        oracle.feed(ts)
+        state = engine.entity_state(user)
+        assert set(state.events_by_week) <= set(state.used_periods) | set(
+            state.accumulated_periods)
+        assert state.events_by_week == oracle.events
+        assert (state.used_periods, state.accumulated_periods) == (oracle.used, oracle.acc)
+        state.check_invariants()
 
 
 # --------------------------------------------------------------------------
@@ -425,6 +490,7 @@ def test_invariants_accept_a_valid_state():
     (dict(start_kde=True), "between steps"),
     (dict(events_by_week={202225: [2000]}), "out of range"),
     (dict(alerts=[42]), "not a string"),
+    (dict(events_by_week={202225: [540], 202221: [600]}), "neither list"),
 ])
 def test_invariants_reject_corrupt_states(overrides, message):
     with pytest.raises(ValueError, match=message):

@@ -208,6 +208,18 @@ def test_restore_then_finish_matches_uninterrupted_run():
     assert [x.event_id for x in resumed_alerts] == ["e13"]
 
 
+def test_restore_drops_a_week_outside_the_window_lists():
+    # A state/2 writer recorded a stale week's minutes and kept them until
+    # its next refit; this version never records one, so restore drops it.
+    _, engines = run_monitor(trace_lines(TRACE_EVENTS[:3]), CONFIG, None)
+    doc = dump_state(engines[0])
+    expected = json.dumps(doc)
+    doc["users"][TRACE_USER]["events_by_week"] = {"202221": [600], "202225": [540, 570, 600]}
+    restored = restore_state(json.dumps(doc))
+    assert restored.entity_state(TRACE_USER).events_by_week == {202225: [540, 570, 600]}
+    assert json.dumps(dump_state(restored)) == expected
+
+
 def test_restore_rejects_truncated_document():
     _, engines = run_monitor(trace_lines(), CONFIG, None)
     text = json.dumps(dump_state(engines[0]))
