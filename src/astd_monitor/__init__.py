@@ -15,7 +15,6 @@ from astd_monitor.detector import (
     DetectorConfig,
     EntityState,
     MonitorEngine,
-    build_detector,
 )
 from astd_monitor.kde import KdeProfile
 from astd_monitor.stream import (
@@ -40,7 +39,6 @@ __all__ = [
     "ParsedEvent",
     "RestoreError",
     "RunStats",
-    "build_detector",
     "dump_state",
     "parse_record",
     "restore_state",

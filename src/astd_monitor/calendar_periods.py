@@ -7,14 +7,15 @@ but differences between them are meaningless across year boundaries:
 :func:`week_distance` for any gap computation.
 
 Timestamps are ingested in the exact textual form ``YYYY-mm-ddTHH:MM:ssZ``
-(UTC only) and handled internally as aware :class:`datetime.datetime`.
+(UTC only) and parsed once, straight into the ``(period, minute)`` pair the
+detector keys on; no :class:`datetime.datetime` is built per event.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from datetime import date, datetime, timezone
+from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 Period = int
@@ -24,37 +25,44 @@ DEFAULT_MAX_GAP_WEEKS = 3
 
 _TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
 
+# ISO week of each validated ``YYYY-mm-dd`` prefix. A pure function of its
+# key, so sharing it across engines is safe; cleared whenever it fills, so
+# it stays bounded whatever the input's spread of days.
+DAY_CACHE_SIZE = 4096
+_week_of_day: dict[str, Period] = {}
+
 
 class TimestampError(ValueError):
     """Raised for text that is not a valid UTC timestamp."""
 
 
-def parse_timestamp(text: str) -> datetime:
-    """Parse ``YYYY-mm-ddTHH:MM:ssZ`` into an aware UTC datetime.
+def parse_timestamp(text: str) -> tuple[Period, MinuteOfDay]:
+    """Parse ``YYYY-mm-ddTHH:MM:ssZ`` into its ISO week and minute of day.
 
-    The format is enforced strictly (zero padding, trailing ``Z``); any
-    deviation raises :class:`TimestampError`.
+    The format is enforced strictly (zero padding, trailing ``Z``), and so
+    are the calendar and clock ranges (no Feb 30, hour 24 or second 60); any
+    deviation raises :class:`TimestampError`. Seconds are validated, then
+    truncated.
     """
     if _TIMESTAMP_RE.fullmatch(text) is None:
         raise TimestampError(f"invalid timestamp {text!r}, expected YYYY-mm-ddTHH:MM:ssZ")
     # Every field sits at a fixed offset: ``\d`` matches one code point.
-    try:
-        return datetime(int(text[0:4]), int(text[5:7]), int(text[8:10]),
-                        int(text[11:13]), int(text[14:16]), int(text[17:19]),
-                        tzinfo=timezone.utc)
-    except ValueError as exc:
-        raise TimestampError(f"invalid timestamp {text!r}: {exc}") from exc
-
-
-def compute_period(ts: datetime) -> Period:
-    """Return the ISO year-week of ``ts`` encoded as YYYYWW."""
-    iso_year, iso_week, _ = ts.isocalendar()
-    return iso_year * 100 + iso_week
-
-
-def compute_minute(ts: datetime) -> MinuteOfDay:
-    """Return the minute of the day in [0, 1439]; seconds are truncated."""
-    return ts.hour * 60 + ts.minute
+    day = text[:10]
+    period = _week_of_day.get(day)
+    if period is None:
+        try:
+            iso_year, iso_week, _ = date(int(text[0:4]), int(text[5:7]),
+                                         int(text[8:10])).isocalendar()
+        except ValueError as exc:
+            raise TimestampError(f"invalid timestamp {text!r}: {exc}") from exc
+        period = iso_year * 100 + iso_week
+        if len(_week_of_day) >= DAY_CACHE_SIZE:
+            _week_of_day.clear()
+        _week_of_day[day] = period  # only days that passed ``date``
+    hour, minute = int(text[11:13]), int(text[14:16])
+    if hour > 23 or minute > 59 or int(text[17:19]) > 59:
+        raise TimestampError(f"invalid timestamp {text!r}: time out of range")
+    return period, hour * 60 + minute
 
 
 def period_start(period: Period) -> date:

@@ -14,12 +14,12 @@ The training side runs first within each step, so the very event that
 completes a window is scored against the profile that window produced.
 
 ``MonitorEngine`` runs the composition compiled (``astd.compile``): each
-user is one flat attribute dict, and each event is one call of ``step``.
-Refits and alerts reach the engine's counters through the registry's
-``on_refit`` and ``on_alert`` hooks. ``build_detector`` builds the same
-composition for the interpreter, the specification the engine is tested
-against. The window parameters ``n`` and ``k`` and the ``threshold`` are
-read from the configuration, not copied into each user.
+user is one flat attribute dict, and each event is one call of ``step``,
+whose payload carries the event's ISO week (``period``) and minute of day
+as ints, parsed once at ingest. Refits and alerts reach the engine's
+counters through the registry's ``on_refit`` and ``on_alert`` hooks. The
+window parameters ``n`` and ``k`` and the ``threshold`` are read from the
+configuration, not copied into each user.
 
 Window management: ``used_periods`` holds the weeks feeding the current
 profile; once it spans at least ``n`` weeks holding at least ``k`` events,
@@ -35,28 +35,22 @@ week in ``events_by_week`` is a used or an accumulated one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from datetime import datetime
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping, MutableMapping
 
 from .astd import (
-    AstdInstance,
     AttributeDecl,
     Automaton,
     Flow,
     Interleave,
     Program,
     Transition,
-    build,
 )
 from .astd import compile as compile_spec
 from .calendar_periods import (
     DEFAULT_MAX_GAP_WEEKS,
-    compute_minute,
-    compute_period,
     count_events,
     insert_period,
-    parse_timestamp,
     period_start,
 )
 from .kde import KdeProfile, density_at, fit_profile, fuse_samples, select_bandwidth
@@ -218,15 +212,15 @@ class EntityState:
 # The three registered actions
 # --------------------------------------------------------------------------
 
-def add_event(attrs: MutableMapping[str, Any], creation: datetime,
+def add_event(attrs: MutableMapping[str, Any], period: int, minute: int,
               config: DetectorConfig) -> None:
-    """Record one event and advance the sliding week window.
+    """Record one event, of ISO week ``period`` (``YYYYWW``) at ``minute`` of
+    the day, and advance the sliding week window.
 
     The minute is recorded only when its week is in the window or the
     accumulator afterwards; a week too stale to join either keeps nothing,
     so ``events_by_week`` never holds a week outside the two lists.
     """
-    period = compute_period(creation)
     events = attrs["events_by_week"]
     used = attrs["used_periods"]
     if (not used
@@ -250,7 +244,7 @@ def add_event(attrs: MutableMapping[str, Any], creation: datetime,
     used = attrs["used_periods"]
     acc = attrs["accumulated_periods"]
     if period in used or period in acc:
-        events.setdefault(period, []).append(compute_minute(creation))
+        events.setdefault(period, []).append(minute)
     if len(used) < config.n or not acc:
         return
     accumulated = count_events(events, acc)
@@ -281,10 +275,10 @@ def refresh_profile(attrs: MutableMapping[str, Any], config: DetectorConfig) -> 
 
 
 def check_event(attrs: MutableMapping[str, Any], event_id: str, user_id: str,
-                creation: datetime, config: DetectorConfig) -> AlertRecord | None:
-    """Score one event against the current profile; alert when at or below
-    the threshold. Callers must ensure a profile exists."""
-    minute = compute_minute(creation)
+                period: int, minute: int, config: DetectorConfig) -> AlertRecord | None:
+    """Score one event, of ISO week ``period`` at ``minute`` of the day,
+    against the current profile; alert when at or below the threshold.
+    Callers must ensure a profile exists."""
     density = density_at(attrs["user_kde"], minute)
     threshold = config.threshold
     if density <= threshold:
@@ -292,7 +286,7 @@ def check_event(attrs: MutableMapping[str, Any], event_id: str, user_id: str,
         return AlertRecord(
             event_id=event_id,
             user_id=user_id,
-            period=compute_period(creation),
+            period=period,
             minute=minute,
             density=density,
             threshold=threshold,
@@ -357,7 +351,7 @@ def make_registry(config: DetectorConfig, *,
     """
 
     def _add_event(payload, attrs):
-        add_event(attrs, payload["creation"], config)
+        add_event(attrs, payload["period"], payload["minute"], config)
 
     def _refresh_profile(payload, attrs):
         if refresh_profile(attrs, config) and on_refit is not None:
@@ -368,7 +362,7 @@ def make_registry(config: DetectorConfig, *,
 
     def _check_event(payload, attrs):
         alert = check_event(attrs, payload["event_id"], payload[USER_VAR],
-                            payload["creation"], config)
+                            payload["period"], payload["minute"], config)
         if alert is not None and on_alert is not None:
             on_alert(alert)
 
@@ -383,13 +377,6 @@ def make_registry(config: DetectorConfig, *,
         "profile_exists": _profile_exists,
         "check_event": _check_event,
     }
-
-
-def build_detector(config: DetectorConfig) -> AstdInstance:
-    """Validate the config and build the interpreted monitor: the executable
-    specification the compiled engine is tested against."""
-    config.validate()
-    return build(detector_spec(), make_registry(config))
 
 
 # The engine's one call into the compiled program per event.
@@ -435,15 +422,16 @@ class MonitorEngine:
     def users_seen(self) -> int:
         return len(self._program.children)
 
-    def process(self, event_id: str, user_id: str,
-                creation: datetime | str) -> list[AlertRecord]:
-        """Deliver one event; return the alerts it raised (empty or one)."""
-        if isinstance(creation, str):
-            creation = parse_timestamp(creation)
+    def process(self, event_id: str, user_id: str, period: int,
+                minute: int) -> list[AlertRecord]:
+        """Deliver one event, of ISO week ``period`` (``YYYYWW``) at ``minute``
+        of the day (``calendar_periods.parse_timestamp`` gives both); return
+        the alerts it raised (empty or one)."""
         step(self._program, EVENT_LABEL, {
             USER_VAR: user_id,
             "event_id": event_id,
-            "creation": creation,
+            "period": period,
+            "minute": minute,
         })
         raised = self._tally.raised
         if not raised:

@@ -2,8 +2,10 @@
 
 Events arrive one JSON object per line with fields ``Id`` (or ``ID``),
 ``CreationTime`` (UTC, ``YYYY-mm-ddTHH:MM:ssZ``), and ``UserId``; any
-other fields are ignored. Input order is processing order: the window
-manager is built for out-of-order arrival, so no re-sorting happens here.
+other fields are ignored. Each timestamp is parsed once, into the ISO week
+(``period``) and minute of day the detector keys on. Input order is
+processing order: the window manager is built for out-of-order arrival, so
+no re-sorting happens here.
 
 Malformed lines are counted and skipped; they never touch engine state.
 
@@ -22,8 +24,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from datetime import datetime
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .calendar_periods import TimestampError, parse_timestamp, period_start
 from .detector import (
@@ -42,11 +43,14 @@ class RestoreError(ValueError):
     """A snapshot document is unreadable; the message names the location."""
 
 
-@dataclass(frozen=True)
-class ParsedEvent:
+class ParsedEvent(NamedTuple):
+    """One well-formed line: ids, ISO week ``YYYYWW`` and minute of day, in
+    the argument order of ``MonitorEngine.process``."""
+
     event_id: str
     user_id: str
-    creation: datetime
+    period: int
+    minute: int
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,10 @@ def parse_record(line: str) -> ParsedEvent | MalformedRecord:
     if not isinstance(raw_creation, str):
         return MalformedRecord("bad timestamp")
     try:
-        creation = parse_timestamp(raw_creation)
+        period, minute = parse_timestamp(raw_creation)
     except TimestampError:
         return MalformedRecord("bad timestamp")
-    return ParsedEvent(event_id, user_id, creation)
+    return ParsedEvent(event_id, user_id, period, minute)
 
 
 @dataclass
@@ -162,8 +166,7 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
             stats.events_malformed += 1
             by_reason[record.reason] = by_reason.get(record.reason, 0) + 1
         else:
-            for alert in engine.process(record.event_id, record.user_id,
-                                        record.creation):
+            for alert in engine.process(*record):
                 emit(alert)
         if progress_every and stats.events_read % progress_every == 0:
             peak_rss = max(peak_rss, resident_memory_bytes())

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .calendar_periods import parse_timestamp
 from .detector import DetectorConfig, MonitorEngine
 
 TRACE_USER = "u1"
@@ -88,7 +89,8 @@ def run_trace(config: DetectorConfig | None = None) -> TraceResult:
     profile_at_c4 = None
 
     for index, (event_id, creation) in enumerate(TRACE_EVENTS, start=1):
-        alerts.extend(a.event_id for a in engine.process(event_id, TRACE_USER, creation))
+        alerts.extend(a.event_id for a in engine.process(event_id, TRACE_USER,
+                                                         *parse_timestamp(creation)))
         state = engine.entity_state(TRACE_USER)
 
         if index == 3:

@@ -7,13 +7,15 @@ the package's former arithmetic so that tests can require equal bits, not
 just close values, because alert records carry the density's last digits; and
 ``InterpretedMonitor``, which runs the detector's composition through the
 package's own interpreter, the executable specification of the compiled
-engine."""
+engine. ``datetime_timestamp`` keeps the package's former timestamp parser,
+which defines which strings are timestamps."""
 
 from __future__ import annotations
 
 import math
+import re
 import statistics
-from datetime import date, datetime
+from datetime import date, datetime, timezone
 
 import numpy as np
 
@@ -116,6 +118,23 @@ def silverman_reference(sample):
 # Window oracle
 # --------------------------------------------------------------------------
 
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
+
+
+def datetime_timestamp(text: str) -> datetime | None:
+    """The package's former timestamp parser, kept as the reference for
+    which strings are timestamps: the strict regex, then an aware datetime
+    from the fixed offsets. None for a string it rejected."""
+    if _TIMESTAMP_RE.fullmatch(text) is None:
+        return None
+    try:
+        return datetime(int(text[0:4]), int(text[5:7]), int(text[8:10]),
+                        int(text[11:13]), int(text[14:16]), int(text[17:19]),
+                        tzinfo=timezone.utc)
+    except ValueError:
+        return None
+
+
 def period_of(ts: str) -> int:
     d = datetime.strptime(ts, "%Y-%m-%dT%H:%M:%SZ")
     year, week, _ = d.date().isocalendar()
@@ -214,11 +233,10 @@ class InterpretedMonitor:
         """Step one event; return the names of the actions it ran, in order,
         and the alerts it raised."""
         from astd_monitor.astd import step
-        from astd_monitor.calendar_periods import parse_timestamp
         from astd_monitor.detector import EVENT_LABEL, USER_VAR
 
-        step(self.root, EVENT_LABEL, {
-            USER_VAR: user_id, "event_id": event_id, "creation": parse_timestamp(ts)})
+        step(self.root, EVENT_LABEL, {USER_VAR: user_id, "event_id": event_id,
+                                      "period": period_of(ts), "minute": minute_of(ts)})
         actions, alerts = self._actions[:], self._alerts[:]
         self._actions.clear()
         self._alerts.clear()

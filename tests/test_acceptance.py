@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from astd_monitor.calendar_periods import parse_timestamp
 from astd_monitor.detector import DetectorConfig, MonitorEngine
 from astd_monitor.kde import fit_profile, select_bandwidth
 from astd_monitor.stream import (
@@ -91,7 +92,7 @@ def test_criterion_1_golden_trace(announce):
         engine = MonitorEngine(TRACE_CONFIG)
         oracle = WindowOracle(n=3, k=10)
         for event_id, ts in TRACE_EVENTS:
-            engine.process(event_id, TRACE_USER, ts)
+            engine.process(event_id, TRACE_USER, *parse_timestamp(ts))
             oracle.feed(ts)
             state = engine.entity_state(TRACE_USER)
             assert state.used_periods == oracle.used
@@ -204,7 +205,7 @@ def test_criterion_4_runtime_semantics(announce):
             interpreted = InterpretedMonitor(config)
             alert_stream = []
             for event_id, user, ts in events:
-                alerts = engine.process(event_id, user, ts)
+                alerts = engine.process(event_id, user, *parse_timestamp(ts))
                 alert_stream.extend(alerts)
                 actions, expected_alerts = interpreted.process(event_id, user, ts)
                 state = engine.entity_state(user)
@@ -234,7 +235,7 @@ def test_criterion_4_runtime_semantics(announce):
                 solo = MonitorEngine(config)
                 for event_id, u, ts in events:
                     if u == user:
-                        solo.process(event_id, user, ts)
+                        solo.process(event_id, user, *parse_timestamp(ts))
                 a = engine.entity_state(user)
                 b = solo.entity_state(user)
                 assert a.used_periods == b.used_periods
@@ -247,7 +248,7 @@ def test_criterion_4_runtime_semantics(announce):
             again = MonitorEngine(config)
             repeat_stream = []
             for event_id, user, ts in events:
-                repeat_stream.extend(again.process(event_id, user, ts))
+                repeat_stream.extend(again.process(event_id, user, *parse_timestamp(ts)))
             assert repeat_stream == alert_stream
             assert json.dumps(dump_state(again)) == json.dumps(dump_state(engine))
         elapsed = time.perf_counter() - started

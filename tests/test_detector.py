@@ -18,7 +18,6 @@ from astd_monitor.detector import (
     EntityState,
     MonitorEngine,
     add_event,
-    build_detector,
     check_event,
     refresh_profile,
 )
@@ -43,7 +42,7 @@ def fresh_attrs():
 
 def feed(attrs, timestamps, config=CONFIG):
     for ts in timestamps:
-        add_event(attrs, parse_timestamp(ts), config)
+        add_event(attrs, *parse_timestamp(ts), config)
         refresh_profile(attrs, config)
 
 
@@ -85,9 +84,9 @@ def test_config_from_dict_rejects_unknown_keys():
         DetectorConfig.from_dict({"bogus": 1})
 
 
-def test_build_detector_rejects_invalid_config():
+def test_engine_rejects_invalid_config():
     with pytest.raises(ConfigError):
-        build_detector(DetectorConfig(n=0))
+        MonitorEngine(DetectorConfig(n=0))
 
 
 def test_fresh_engine_has_no_users():
@@ -98,7 +97,7 @@ def test_fresh_engine_has_no_users():
 def test_two_engines_are_independent():
     a = MonitorEngine(CONFIG)
     b = MonitorEngine(CONFIG)
-    a.process("e1", "u1", "2022-06-22T10:00:00Z")
+    a.process("e1", "u1", *parse_timestamp("2022-06-22T10:00:00Z"))
     assert a.users_seen == 1
     assert b.users_seen == 0
 
@@ -164,8 +163,8 @@ def test_window_fills_across_weeks():
 def test_first_week_past_the_full_window_triggers_a_refit():
     attrs = fresh_attrs()
     for _, t in TRACE_EVENTS[:11]:
-        add_event(attrs, parse_timestamp(t), CONFIG)
-    add_event(attrs, parse_timestamp(TRACE_EVENTS[11][1]), CONFIG)
+        add_event(attrs, *parse_timestamp(t), CONFIG)
+    add_event(attrs, *parse_timestamp(TRACE_EVENTS[11][1]), CONFIG)
     assert attrs["start_kde"] is True
     assert attrs["accumulated_periods"] == [202229]
     assert refresh_profile(attrs, CONFIG) is True
@@ -186,7 +185,7 @@ def test_full_trace_matches_the_window_oracle_step_by_step():
     attrs = fresh_attrs()
     oracle = WindowOracle(n=3, k=10)
     for _, ts in TRACE_EVENTS:
-        add_event(attrs, parse_timestamp(ts), CONFIG)
+        add_event(attrs, *parse_timestamp(ts), CONFIG)
         refresh_profile(attrs, CONFIG)
         oracle.feed(ts)
         assert attrs["used_periods"] == oracle.used
@@ -207,7 +206,7 @@ def test_random_streams_match_the_window_oracle():
         for day_index in picks:
             ts = (f"{days[day_index]}T{rng.integers(0, 24):02d}:"
                   f"{rng.integers(0, 60):02d}:00Z")
-            add_event(attrs, parse_timestamp(ts), config)
+            add_event(attrs, *parse_timestamp(ts), config)
             refresh_profile(attrs, config)
             oracle.feed(ts)
             assert attrs["used_periods"] == oracle.used
@@ -235,7 +234,7 @@ def test_retained_weeks_stay_inside_the_window_lists(n, k, max_gap, events):
     for i, (user, offset, weekday, minute) in enumerate(events):
         day = date(2021, 12, 13) + timedelta(weeks=offset, days=weekday)
         ts = f"{day.isoformat()}T{minute // 60:02d}:{minute % 60:02d}:00Z"
-        engine.process(f"e{i}", user, ts)
+        engine.process(f"e{i}", user, *parse_timestamp(ts))
         oracle = oracles.setdefault(user, WindowOracle(n, k, max_gap))
         oracle.feed(ts)
         state = engine.entity_state(user)
@@ -297,7 +296,7 @@ def scored_attrs():
 
 def test_off_hours_event_alerts():
     attrs = scored_attrs()
-    alert = check_event(attrs, "e9", "u1", parse_timestamp("2022-06-22T03:00:00Z"),
+    alert = check_event(attrs, "e9", "u1", *parse_timestamp("2022-06-22T03:00:00Z"),
                         CONFIG)
     assert isinstance(alert, AlertRecord)
     assert alert.event_id == "e9"
@@ -310,7 +309,7 @@ def test_off_hours_event_alerts():
 
 def test_event_at_the_training_peak_is_normal():
     attrs = scored_attrs()
-    assert check_event(attrs, "e9", "u1", parse_timestamp("2022-06-22T09:00:00Z"),
+    assert check_event(attrs, "e9", "u1", *parse_timestamp("2022-06-22T09:00:00Z"),
                        CONFIG) is None
     assert attrs["alerts"] == []
 
@@ -326,13 +325,13 @@ def test_check_event_alerts_at_exactly_the_threshold():
             attrs = fresh_attrs()
             attrs["user_kde"] = profile
             config = DetectorConfig(threshold=threshold)
-            alert = check_event(attrs, "e1", "u1", ten_am, config)
+            alert = check_event(attrs, "e1", "u1", *ten_am, config)
             assert (alert is not None) == alerts
             if alerts:
                 assert alert.density == threshold
         attrs = fresh_attrs()
         attrs["user_kde"] = profile
-        assert check_event(attrs, "e2", "u1", midnight,          # far tail
+        assert check_event(attrs, "e2", "u1", *midnight,          # far tail
                            DetectorConfig(threshold=1e-9)) is not None
 
 
@@ -352,7 +351,7 @@ def lockstep(events, config=CONFIG):
     engine = MonitorEngine(config)
     interpreted = InterpretedMonitor(config)
     for event_id, user, ts in events:
-        alerts = engine.process(event_id, user, ts)
+        alerts = engine.process(event_id, user, *parse_timestamp(ts))
         actions, expected = interpreted.process(event_id, user, ts)
         assert alerts == expected
         assert engine.entity_state(user) == interpreted.entity_state(user)
@@ -375,11 +374,11 @@ def test_alerting_joins_the_step_once_a_profile_exists():
 def test_interleaved_users_maintain_independent_state():
     merged = MonitorEngine(CONFIG)
     for event_id, ts in TRACE_EVENTS:
-        merged.process(event_id, "u1", ts)
-        merged.process(event_id, "u2", ts)
+        merged.process(event_id, "u1", *parse_timestamp(ts))
+        merged.process(event_id, "u2", *parse_timestamp(ts))
     solo = MonitorEngine(CONFIG)
     for event_id, ts in TRACE_EVENTS:
-        solo.process(event_id, "u1", ts)
+        solo.process(event_id, "u1", *parse_timestamp(ts))
     for user in ("u1", "u2"):
         state = merged.entity_state(user)
         expected = solo.entity_state("u1")
@@ -392,7 +391,7 @@ def test_interleaved_users_maintain_independent_state():
 def test_a_dropped_engine_is_freed_without_a_cyclic_collection():
     engine = MonitorEngine(CONFIG)
     for event_id, ts in TRACE_EVENTS:
-        engine.process(event_id, TRACE_USER, ts)
+        engine.process(event_id, TRACE_USER, *parse_timestamp(ts))
     assert engine.profiles_computed == 1
     dropped = weakref.ref(engine)
     gc.disable()
@@ -405,7 +404,7 @@ def test_a_dropped_engine_is_freed_without_a_cyclic_collection():
 
 def test_entity_state_is_a_deep_copy():
     engine = MonitorEngine(CONFIG)
-    engine.process("e1", "u1", "2022-06-22T09:00:00Z")
+    engine.process("e1", "u1", *parse_timestamp("2022-06-22T09:00:00Z"))
     state = engine.entity_state("u1")
     state.used_periods.append(999999)
     state.events_by_week[202225].append(0)
@@ -422,7 +421,7 @@ def test_entity_states_compare_by_value_including_the_profile():
     def state_after(events):
         engine = MonitorEngine(CONFIG)
         for event_id, ts in events:
-            engine.process(event_id, TRACE_USER, ts)
+            engine.process(event_id, TRACE_USER, *parse_timestamp(ts))
         return engine.entity_state(TRACE_USER)
 
     state = state_after(TRACE_EVENTS[:12])
@@ -437,13 +436,13 @@ def test_entity_states_compare_by_value_including_the_profile():
 def test_export_and_adopt_round_trip():
     donor = MonitorEngine(CONFIG)
     for event_id, ts in TRACE_EVENTS[:12]:
-        donor.process(event_id, TRACE_USER, ts)
+        donor.process(event_id, TRACE_USER, *parse_timestamp(ts))
     heir = MonitorEngine(CONFIG)
     for user, state in donor.export_users().items():
         heir.adopt_user(user, state)
     for event_id, ts in TRACE_EVENTS[12:]:
-        assert [a.event_id for a in donor.process(event_id, TRACE_USER, ts)] == \
-            [a.event_id for a in heir.process(event_id, TRACE_USER, ts)]
+        assert [a.event_id for a in donor.process(event_id, TRACE_USER, *parse_timestamp(ts))] == \
+            [a.event_id for a in heir.process(event_id, TRACE_USER, *parse_timestamp(ts))]
     assert donor.entity_state(TRACE_USER).used_periods == \
         heir.entity_state(TRACE_USER).used_periods
 
@@ -459,7 +458,7 @@ def test_adopt_rejects_mid_step_state():
 def test_counters_track_profiles_and_alerts():
     engine = MonitorEngine(CONFIG)
     for event_id, ts in TRACE_EVENTS:
-        engine.process(event_id, TRACE_USER, ts)
+        engine.process(event_id, TRACE_USER, *parse_timestamp(ts))
     assert engine.users_seen == 1
     assert engine.profiles_computed == 1
     assert engine.alerts_emitted == 1

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from astd_monitor.calendar_periods import parse_timestamp
 from astd_monitor.detector import ConfigError, DetectorConfig, EntityState, MonitorEngine
 from astd_monitor.kde import fit_profile, select_bandwidth
 from astd_monitor.stream import (
@@ -42,7 +43,8 @@ def test_parse_record_accepts_a_valid_line():
     assert isinstance(record, ParsedEvent)
     assert record.event_id == "e1"
     assert record.user_id == "u1"
-    assert (record.creation.hour, record.creation.minute) == (10, 15)
+    assert (record.period, record.minute) == (202225, 615)
+    assert record == ("e1", "u1", 202225, 615)
 
 
 def test_parse_record_accepts_both_id_spellings():
@@ -333,6 +335,7 @@ def test_restored_profile_scores_like_the_original():
     lines = trace_lines()
     _, engines = run_monitor(lines[:12], CONFIG, None)  # profile exists now
     restored = restore_state(json.dumps(dump_state(engines[0])))
-    original_alerts = engines[0].process("probe", TRACE_USER, "2022-07-19T03:00:00Z")
-    restored_alerts = restored.process("probe", TRACE_USER, "2022-07-19T03:00:00Z")
+    probe = parse_timestamp("2022-07-19T03:00:00Z")
+    original_alerts = engines[0].process("probe", TRACE_USER, *probe)
+    restored_alerts = restored.process("probe", TRACE_USER, *probe)
     assert [a.density for a in original_alerts] == [a.density for a in restored_alerts]
