@@ -23,7 +23,7 @@ MinuteOfDay = int
 
 DEFAULT_MAX_GAP_WEEKS = 3
 
-_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", re.ASCII)
 
 # ISO week of each validated ``YYYY-mm-dd`` prefix. A pure function of its
 # key, so sharing it across engines is safe; cleared whenever it fills, so
@@ -39,10 +39,10 @@ class TimestampError(ValueError):
 def parse_timestamp(text: str) -> tuple[Period, MinuteOfDay]:
     """Parse ``YYYY-mm-ddTHH:MM:ssZ`` into its ISO week and minute of day.
 
-    The format is enforced strictly (zero padding, trailing ``Z``), and so
-    are the calendar and clock ranges (no Feb 30, hour 24 or second 60); any
-    deviation raises :class:`TimestampError`. Seconds are validated, then
-    truncated.
+    The format is enforced strictly (ASCII digits, zero padding, trailing
+    ``Z``), and so are the calendar and clock ranges (no Feb 30, hour 24 or
+    second 60); any deviation raises :class:`TimestampError`. Seconds are
+    validated, then truncated.
     """
     if _TIMESTAMP_RE.fullmatch(text) is None:
         raise TimestampError(f"invalid timestamp {text!r}, expected YYYY-mm-ddTHH:MM:ssZ")

@@ -41,7 +41,6 @@ _CONFIG_KEYS = {
     "max_gap_weeks": ("max_gap_weeks", int),
     "bandwidth.method": ("bandwidth_method", str),
     "bandwidth.value": ("bandwidth_value", float),
-    "kernel": ("kernel", str),
     "circular": ("circular", _parse_bool),
 }
 

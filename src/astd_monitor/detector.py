@@ -35,6 +35,7 @@ week in ``events_by_week`` is a used or an accumulated one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping, MutableMapping
 
@@ -78,7 +79,6 @@ class DetectorConfig:
     ``max_gap_weeks``: reject weeks this much older than the window head.
     ``bandwidth_method``: "silverman" (data-driven) or "fixed".
     ``bandwidth_value``: kernel bandwidth in minutes when fixed.
-    ``kernel``: only "gaussian" is supported.
     ``circular``: wrap minute distances around midnight when fitting.
     """
 
@@ -88,7 +88,6 @@ class DetectorConfig:
     max_gap_weeks: int = DEFAULT_MAX_GAP_WEEKS
     bandwidth_method: str = "silverman"
     bandwidth_value: float | None = None
-    kernel: str = "gaussian"
     circular: bool = False
 
     def validate(self) -> None:
@@ -103,13 +102,11 @@ class DetectorConfig:
         if self.bandwidth_method not in ("silverman", "fixed"):
             raise ConfigError(f"bandwidth_method must be 'silverman' or 'fixed', got {self.bandwidth_method!r}")
         if self.bandwidth_method == "fixed":
-            # Finite too: restore refuses an infinite profile bandwidth.
+            # A finite float too: the refit and restore take float(value).
             if not (_is_number(self.bandwidth_value, (int, float))
-                    and 0 < self.bandwidth_value < float("inf")):
+                    and 0 < self.bandwidth_value <= sys.float_info.max):
                 raise ConfigError(f"fixed bandwidth requires a finite bandwidth_value > 0, "
                                   f"got {self.bandwidth_value!r}")
-        if self.kernel != "gaussian":
-            raise ConfigError(f"unsupported kernel {self.kernel!r}")
         if not isinstance(self.circular, bool):
             raise ConfigError(f"circular must be a boolean, got {self.circular!r}")
 
@@ -147,22 +144,25 @@ class AlertRecord:
 
 @dataclass
 class EntityState:
-    """Deep-copied view of one user's attribute scope at a step boundary."""
+    """Deep-copied view of one user's attribute scope at a step boundary:
+    the minutes of every used and accumulated week, the two week lists, the
+    profile and the alert history. The refresh flag is not part of it,
+    because it is false at every step boundary."""
 
     events_by_week: dict[int, list[int]]
     used_periods: list[int]
     accumulated_periods: list[int]
-    start_kde: bool
     profile: KdeProfile | None
     alerts: list[str]
 
     @classmethod
     def capture(cls, attrs: Mapping[str, Any]) -> "EntityState":
+        if attrs["start_kde"]:
+            raise ValueError("cannot capture a state mid-step (start_kde set)")
         return cls(
             events_by_week={p: list(v) for p, v in attrs["events_by_week"].items()},
             used_periods=list(attrs["used_periods"]),
             accumulated_periods=list(attrs["accumulated_periods"]),
-            start_kde=attrs["start_kde"],
             profile=attrs["user_kde"],
             alerts=list(attrs["alerts"]),
         )
@@ -191,15 +191,15 @@ class EntityState:
                     f"accumulated period {self.accumulated_periods[0]} does not follow "
                     f"window end {self.used_periods[-1]}"
                 )
-        outside = set(self.events_by_week).difference(self.used_periods,
-                                                      self.accumulated_periods)
-        if outside:
-            raise ValueError(f"events_by_week holds weeks in neither list: {sorted(outside)}")
-        if self.start_kde:
-            raise ValueError("start_kde is set between steps")
+        live = set(self.used_periods) | set(self.accumulated_periods)
+        if set(self.events_by_week) != live:
+            raise ValueError(f"events_by_week weeks {sorted(self.events_by_week)} are not "
+                             f"the used and accumulated weeks {sorted(live)}")
         if self.profile is not None and not isinstance(self.profile, KdeProfile):
             raise ValueError(f"profile has unexpected type {type(self.profile).__name__}")
         for period, minutes in self.events_by_week.items():
+            if not minutes:
+                raise ValueError(f"week {period} holds no minutes")
             for m in minutes:
                 if not 0 <= m <= 1439:
                     raise ValueError(f"minute {m} out of range in week {period}")
@@ -458,13 +458,10 @@ class MonitorEngine:
 
     def adopt_user(self, user_id: str, state: EntityState) -> None:
         """Install a previously captured state for one user."""
-        if state.start_kde:
-            raise ValueError("cannot adopt a state captured mid-step (start_kde set)")
         attrs = self._program.ensure_child(user_id).attrs
         attrs["events_by_week"] = {int(p): [int(m) for m in v]
                                    for p, v in state.events_by_week.items()}
         attrs["used_periods"] = [int(p) for p in state.used_periods]
         attrs["accumulated_periods"] = [int(p) for p in state.accumulated_periods]
-        attrs["start_kde"] = False
         attrs["user_kde"] = state.profile
         attrs["alerts"] = list(state.alerts)

@@ -10,23 +10,26 @@ no re-sorting happens here.
 Malformed lines are counted and skipped; they never touch engine state.
 
 Snapshots serialize every user's window state into one versioned JSON
-document. A profile is stored as the input of its fit, the bandwidth and
-the sample in window order, and restore refits it with the same
-``fit_profile`` call, so the densities come back bit for bit (given the
-same numpy and libm builds). Restoring a snapshot and replaying the
-remaining events is therefore equivalent to an uninterrupted run.
+document that writes each fact once: per user, the minutes of every used
+then every accumulated week in ascending order (``weeks``), how many of
+those weeks are used (``used``), the alert history, and the profile as its
+sample in fit order. Restore splits the weeks into the two lists and refits
+the profile with the refit's own bandwidth rule (the config's fixed value,
+or Silverman's recomputed from the sample), so the densities come back bit
+for bit (given the same numpy and libm builds). Restoring a snapshot and
+replaying the remaining events is therefore equivalent to an uninterrupted
+run.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .calendar_periods import TimestampError, parse_timestamp, period_start
+from .calendar_periods import TimestampError, parse_timestamp
 from .detector import (
     AlertRecord,
     ConfigError,
@@ -36,7 +39,7 @@ from .detector import (
 )
 from .kde import GRID_MINUTES, KdeProfile, fit_profile
 
-STATE_SCHEMA = "astd-monitor/state/2"
+STATE_SCHEMA = "astd-monitor/state/3"
 
 
 class RestoreError(ValueError):
@@ -186,20 +189,15 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
 # State snapshots
 # --------------------------------------------------------------------------
 
-def _profile_to_json(profile: KdeProfile | None) -> dict[str, Any] | None:
-    if profile is None:
-        return None
-    return {"bandwidth": profile.bandwidth, "sample": profile.sample.tolist()}
-
-
 def _state_to_json(state: EntityState) -> dict[str, Any]:
+    events = state.events_by_week
+    profile = state.profile
     return {
-        "events_by_week": {str(p): list(v) for p, v in sorted(state.events_by_week.items())},
-        "used_periods": list(state.used_periods),
-        "accumulated_periods": list(state.accumulated_periods),
-        "start_kde": state.start_kde,
+        "weeks": {str(p): list(events[p])
+                  for p in state.used_periods + state.accumulated_periods},
+        "used": len(state.used_periods),
         "alerts": list(state.alerts),
-        "profile": _profile_to_json(state.profile),
+        "profile": None if profile is None else profile.sample.tolist(),
     }
 
 
@@ -233,74 +231,63 @@ def _all_ints(values: list[Any]) -> bool:
     return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
-def _profile_from_json(data: Any, where: str, circular: bool) -> KdeProfile | None:
-    if data is None:
+def _profile_from_json(sample: Any, where: str, config: DetectorConfig) -> KdeProfile | None:
+    if sample is None:
         return None
-    if not isinstance(data, dict):
-        raise RestoreError(f"{where}: expected object or null")
-    bandwidth = _require(data, "bandwidth", float, where)
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise RestoreError(f"{where}.bandwidth: expected a positive finite number, "
-                           f"got {bandwidth!r}")
-    sample = _require(data, "sample", list, where)
+    if not isinstance(sample, list):
+        raise RestoreError(f"{where}: expected a list of integers or null")
     if not sample:
-        raise RestoreError(f"{where}.sample: empty")
+        raise RestoreError(f"{where}: empty")
     if not _all_ints(sample):
-        raise RestoreError(f"{where}.sample: expected a list of integers")
+        raise RestoreError(f"{where}: expected a list of integers")
     if min(sample) < 0 or max(sample) >= GRID_MINUTES:
-        raise RestoreError(f"{where}.sample: minutes must lie in [0, {GRID_MINUTES - 1}]")
-    # The refit's own call, on the refit's own inputs: bit-identical densities.
-    return fit_profile(sample, bandwidth, circular=circular)
+        raise RestoreError(f"{where}: minutes must lie in [0, {GRID_MINUTES - 1}]")
+    # The refit's own bandwidth rule and fit on the refit's own sample:
+    # bit-identical densities. Called through kde's names, not detector's,
+    # which bench/tracer.py wraps to count the run's own refits.
+    bandwidth = (float(config.bandwidth_value) if config.bandwidth_method == "fixed"
+                 else None)
+    return fit_profile(sample, bandwidth, circular=config.circular)
 
 
-def _state_from_json(data: Any, where: str, circular: bool) -> EntityState:
+_USER_KEYS = ("weeks", "used", "alerts", "profile")
+
+
+def _state_from_json(data: Any, where: str, config: DetectorConfig) -> EntityState:
     if not isinstance(data, dict):
         raise RestoreError(f"{where}: expected an object")
-    raw_events = _require(data, "events_by_week", dict, where)
-    used = _require(data, "used_periods", list, where)
-    accumulated = _require(data, "accumulated_periods", list, where)
-    for name, periods in (("used_periods", used), ("accumulated_periods", accumulated)):
-        if not _all_ints(periods):
-            raise RestoreError(f"{where}.{name}: expected a list of integers")
-    live = set(used) | set(accumulated)
-    events: dict[int, list[int]] = {}
-    for raw_period, minutes in raw_events.items():
+    unknown = sorted(set(data).difference(_USER_KEYS))
+    if unknown:
+        raise RestoreError(f"{where}: unknown key {unknown[0]!r}")
+    raw_weeks = _require(data, "weeks", dict, where)
+    weeks: dict[int, list[int]] = {}
+    for raw_period, minutes in raw_weeks.items():
         try:
             period = int(raw_period)
         except (TypeError, ValueError):
             period = None
         if str(period) != raw_period:  # also refuses "2022_25", which re-dumps as "202225"
-            raise RestoreError(f"{where}.events_by_week: bad period key "
-                               f"{raw_period!r}")
+            raise RestoreError(f"{where}.weeks: bad period key {raw_period!r}")
         if not isinstance(minutes, list) or not _all_ints(minutes):
-            raise RestoreError(f"{where}.events_by_week[{raw_period}]: "
-                               f"expected a list of integers")
-        if period in live:
-            events[period] = list(minutes)
-            continue
-        # A week in neither list: a state/2 writer that recorded stale weeks
-        # kept them until its next refit purged them, so restore drops them.
-        try:
-            period_start(period)
-        except ValueError as exc:
-            raise RestoreError(f"{where}.events_by_week: {period} is not an ISO week: "
-                               f"{exc}") from None
-    start_kde = _require(data, "start_kde", bool, where)
+            raise RestoreError(f"{where}.weeks[{raw_period}]: expected a list of integers")
+        weeks[period] = list(minutes)
+    used = _require(data, "used", int, where)
+    if isinstance(used, bool) or not 0 < used <= len(weeks):
+        raise RestoreError(f"{where}.used: expected an integer in [1, {len(weeks)}], "
+                           f"got {used!r}")
     alerts = _require(data, "alerts", list, where)
     if not all(isinstance(a, str) for a in alerts):
         raise RestoreError(f"{where}.alerts: expected a list of strings")
     if "profile" not in data:  # null is "no profile"; a lost key must not read as one
         raise RestoreError(f"{where}: missing key 'profile'")
-    profile = _profile_from_json(data["profile"], f"{where}.profile", circular)
-    state = EntityState(
-        events_by_week=events,
-        used_periods=list(used),
-        accumulated_periods=list(accumulated),
-        start_kde=start_kde,
-        profile=profile,
+    periods = list(weeks)  # check_invariants checks that they ascend
+    return EntityState(
+        events_by_week=weeks,
+        used_periods=periods[:used],
+        accumulated_periods=periods[used:],
+        profile=_profile_from_json(data["profile"], f"{where}.profile", config),
         alerts=list(alerts),
     )
-    return state
 
 
 def restore_state(snapshot: Mapping[str, Any] | str) -> MonitorEngine:
@@ -333,7 +320,7 @@ def restore_state(snapshot: Mapping[str, Any] | str) -> MonitorEngine:
     engine = MonitorEngine(config)
     for user_id, raw_state in raw_users.items():
         where = f"users[{user_id!r}]"
-        state = _state_from_json(raw_state, where, config.circular)
+        state = _state_from_json(raw_state, where, config)
         try:
             state.check_invariants()
         except ValueError as exc:

@@ -121,7 +121,8 @@ def run_trace(config: DetectorConfig | None = None) -> TraceResult:
             ok &= _compare(details, "profile sample count",
                            None if state.profile is None else state.profile.sample_count,
                            10)
-            ok &= _compare(details, "refresh flag consumed", not state.start_kde, True)
+            ok &= _compare(details, "refresh flag consumed",
+                           not engine.attributes()[TRACE_USER]["start_kde"], True)
             checkpoints.append(CheckpointResult("C4 first profile", ok, details))
             profile_at_c4 = state.profile
         elif index == 13:
@@ -136,7 +137,8 @@ def run_trace(config: DetectorConfig | None = None) -> TraceResult:
             counts = {p: len(state.events_by_week.get(p, [])) for p in state.used_periods}
             ok &= _compare(details, "events per week", counts, EXPECTED_FINAL_COUNTS)
             ok &= _compare(details, "alerts", alerts, list(EXPECTED_ALERTS))
-            ok &= _compare(details, "refresh flag consumed", not state.start_kde, True)
+            ok &= _compare(details, "refresh flag consumed",
+                           not engine.attributes()[TRACE_USER]["start_kde"], True)
             same_profile = profile_at_c4 is not None and state.profile == profile_at_c4
             ok &= _compare(details, "profile unchanged by the advance",
                            same_profile, True)

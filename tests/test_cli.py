@@ -25,7 +25,6 @@ max_gap_weeks = 3
 
 # density model
 bandwidth.method = silverman
-kernel = gaussian
 circular = false
 """
 
@@ -53,8 +52,7 @@ def config_file(tmp_path):
 def test_parse_config_text_full_file():
     values = parse_config_text(CONFIG_TEXT)
     assert values == {"n": 3, "k": 10, "threshold": 0.001, "max_gap_weeks": 3,
-                      "bandwidth_method": "silverman", "kernel": "gaussian",
-                      "circular": False}
+                      "bandwidth_method": "silverman", "circular": False}
 
 
 def test_parse_config_reports_unknown_key_with_line_number():
@@ -137,6 +135,16 @@ def test_run_invalid_config_exits_2(tmp_path, trace_input, capsys):
     code = run_cli(["run", "--input", str(trace_input), "--config", str(bad),
                     "--alerts", str(tmp_path / "a.ldjson")])
     assert code == 2
+
+
+def test_run_config_setting_kernel_exits_2(tmp_path, trace_input, capsys):
+    # Only the Gaussian kernel exists, so the key is gone.
+    conf = tmp_path / "kernel.conf"
+    conf.write_text("n = 3\nkernel = gaussian\n")
+    code = run_cli(["run", "--input", str(trace_input), "--config", str(conf),
+                    "--alerts", str(tmp_path / "a.ldjson")])
+    assert code == 2
+    assert "config line 2: unknown key 'kernel'" in capsys.readouterr().err
 
 
 def test_run_invalid_flag_override_exits_2(tmp_path, trace_input, config_file):
@@ -223,9 +231,7 @@ def test_run_state_in_with_an_invalid_week_exits_1(tmp_path, trace_input, config
                     "--alerts", str(tmp_path / "a.ldjson"),
                     "--state-out", str(state_in)]) == 0
     doc = json.loads(state_in.read_text())
-    doc["users"][TRACE_USER].update(events_by_week={"202299": [600]},
-                                    used_periods=[202299], accumulated_periods=[],
-                                    profile=None)
+    doc["users"][TRACE_USER].update(weeks={"202299": [600]}, used=1, profile=None)
     state_in.write_text(json.dumps(doc))
     capsys.readouterr()
     state_out = tmp_path / "out.json"

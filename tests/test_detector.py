@@ -60,7 +60,7 @@ def feed(attrs, timestamps, config=CONFIG):
     dict(bandwidth_method="adaptive"),
     dict(bandwidth_method="fixed"),                       # needs a value
     dict(bandwidth_method="fixed", bandwidth_value=0.0),
-    dict(kernel="epanechnikov"),
+    dict(kernel="gaussian"),                              # no such key
     dict(circular="yes"),
     dict(n=True),
     dict(k=True),
@@ -68,10 +68,11 @@ def feed(attrs, timestamps, config=CONFIG):
     dict(threshold=True),
     dict(bandwidth_method="fixed", bandwidth_value=True),
     dict(bandwidth_method="fixed", bandwidth_value=float("inf")),
+    dict(bandwidth_method="fixed", bandwidth_value=10**400),  # too large for a float
 ])
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
-        DetectorConfig(**kwargs).validate()
+        DetectorConfig.from_dict(kwargs)
 
 
 def test_config_round_trips_through_dict():
@@ -447,12 +448,13 @@ def test_export_and_adopt_round_trip():
         heir.entity_state(TRACE_USER).used_periods
 
 
-def test_adopt_rejects_mid_step_state():
-    engine = MonitorEngine(CONFIG)
-    state = EntityState(events_by_week={}, used_periods=[], accumulated_periods=[],
-                        start_kde=True, profile=None, alerts=[])
-    with pytest.raises(ValueError):
-        engine.adopt_user("u1", state)
+def test_capture_rejects_a_mid_step_dict():
+    attrs = fresh_attrs()
+    feed(attrs, ["2022-06-22T09:00:00Z"])
+    EntityState.capture(attrs)
+    attrs["start_kde"] = True
+    with pytest.raises(ValueError, match="mid-step"):
+        EntityState.capture(attrs)
 
 
 def test_counters_track_profiles_and_alerts():
@@ -470,8 +472,7 @@ def test_counters_track_profiles_and_alerts():
 
 def valid_state(**overrides):
     fields = dict(events_by_week={202225: [540]}, used_periods=[202225],
-                  accumulated_periods=[], start_kde=False, profile=None,
-                  alerts=[])
+                  accumulated_periods=[], profile=None, alerts=[])
     fields.update(overrides)
     return EntityState(**fields)
 
@@ -486,10 +487,11 @@ def test_invariants_accept_a_valid_state():
     (dict(used_periods=[202225], accumulated_periods=[202225]), "overlap"),
     (dict(used_periods=[202227], accumulated_periods=[202226]), "follow"),
     (dict(used_periods=[], accumulated_periods=[202226]), "empty window"),
-    (dict(start_kde=True), "between steps"),
+    (dict(used_periods=[202225, 202226]), "not the used and accumulated weeks"),
     (dict(events_by_week={202225: [2000]}), "out of range"),
     (dict(alerts=[42]), "not a string"),
-    (dict(events_by_week={202225: [540], 202221: [600]}), "neither list"),
+    (dict(events_by_week={202225: [540], 202221: [600]}), "not the used and accumulated weeks"),
+    (dict(events_by_week={202225: []}), "holds no minutes"),
 ])
 def test_invariants_reject_corrupt_states(overrides, message):
     with pytest.raises(ValueError, match=message):

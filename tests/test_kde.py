@@ -337,7 +337,7 @@ def test_grid_free_profiles_restore_bit_for_bit(sample, circular, fixed):
     engine = MonitorEngine(config)
     engine.adopt_user("u", EntityState(
         events_by_week={202225: list(sample)}, used_periods=[202225],
-        accumulated_periods=[], start_kde=False, profile=profile, alerts=[]))
+        accumulated_periods=[], profile=profile, alerts=[]))
     text = json.dumps(dump_state(engine))
     restored = restore_state(text).entity_state("u").profile
     assert restored.grid is None

@@ -5,10 +5,11 @@ from __future__ import annotations
 import io
 import json
 from collections import Counter
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from astd_monitor.calendar_periods import parse_timestamp
 from astd_monitor.detector import ConfigError, DetectorConfig, EntityState, MonitorEngine
@@ -25,6 +26,8 @@ from astd_monitor.stream import (
     run_monitor,
 )
 from astd_monitor.trace import TRACE_EVENTS, TRACE_USER
+
+from oracles import InterpretedMonitor
 
 CONFIG = DetectorConfig(n=3, k=10, threshold=0.001)
 
@@ -180,7 +183,7 @@ def test_alert_json_has_exactly_the_record_fields():
 
 def test_dump_fresh_engine_has_zero_users():
     doc = dump_state(MonitorEngine(CONFIG))
-    assert doc["schema"] == "astd-monitor/state/2"
+    assert doc["schema"] == "astd-monitor/state/3"
     assert doc["users"] == {}
 
 
@@ -210,18 +213,6 @@ def test_restore_then_finish_matches_uninterrupted_run():
     assert [x.event_id for x in resumed_alerts] == ["e13"]
 
 
-def test_restore_drops_a_week_outside_the_window_lists():
-    # A state/2 writer recorded a stale week's minutes and kept them until
-    # its next refit; this version never records one, so restore drops it.
-    _, engines = run_monitor(trace_lines(TRACE_EVENTS[:3]), CONFIG, None)
-    doc = dump_state(engines[0])
-    expected = json.dumps(doc)
-    doc["users"][TRACE_USER]["events_by_week"] = {"202221": [600], "202225": [540, 570, 600]}
-    restored = restore_state(json.dumps(doc))
-    assert restored.entity_state(TRACE_USER).events_by_week == {202225: [540, 570, 600]}
-    assert json.dumps(dump_state(restored)) == expected
-
-
 def test_restore_rejects_truncated_document():
     _, engines = run_monitor(trace_lines(), CONFIG, None)
     text = json.dumps(dump_state(engines[0]))
@@ -229,52 +220,76 @@ def test_restore_rejects_truncated_document():
         restore_state(text[: len(text) // 2])
 
 
+def _user(d):
+    return d["users"][TRACE_USER]
+
+
+def _reorder_weeks(d, order):
+    weeks = _user(d)["weeks"]
+    _user(d)["weeks"] = {p: weeks[p] for p in order}
+
+
+def _fixed_bandwidth(value):
+    return lambda d: d["config"].update(bandwidth_method="fixed", bandwidth_value=value)
+
+
+# The reference trace ends with weeks 202226..202229, all of them used.
 @pytest.mark.parametrize("mutate,location", [
     (lambda d: d.update(schema="other/2"), "schema"),
     (lambda d: d.update(config={"n": 0, "k": 1, "threshold": 1.0}), "config"),
     (lambda d: d["users"].update(bad="not an object"), "users\\['bad'\\]"),
-    (lambda d: d["users"]["u1"].pop("used_periods"), "used_periods"),
-    (lambda d: d["users"]["u1"].update(start_kde=True), "start_kde"),
-    (lambda d: d["users"]["u1"]["events_by_week"].update({"xyz": [1]}), "bad period key"),
-    (lambda d: d["users"]["u1"].update(used_periods=[202228, 202225]), "ascending"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[]), "sample",
+    # The state/2 keys are unknown to a state/3 user object.
+    (lambda d: _user(d).update(used_periods=[202226]), "used_periods"),
+    (lambda d: _user(d).update(start_kde=False), "start_kde"),
+    (lambda d: _user(d)["weeks"].update({"xyz": [1]}), "bad period key"),
+    (lambda d: _reorder_weeks(d, ["202228", "202226", "202227", "202229"]), "ascending"),
+    pytest.param(lambda d: _user(d).update(profile=[]), "profile: empty",
                  id="sample-empty"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[600, "x"]), "sample",
-                 id="sample-string"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[600, 1440]), "sample",
-                 id="sample-1440"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[-1, 600]), "sample",
+    pytest.param(lambda d: _user(d).update(profile=[600, "x"]), "profile", id="sample-string"),
+    pytest.param(lambda d: _user(d).update(profile=[600, 1440]), "profile", id="sample-1440"),
+    pytest.param(lambda d: _user(d).update(profile=[-1, 600]), "profile",
                  id="sample-negative"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(sample=[600, True]), "sample",
-                 id="sample-bool"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].pop("sample"), "sample",
-                 id="sample-missing"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=0.0), "bandwidth",
-                 id="bandwidth-zero"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=-2.5), "bandwidth",
-                 id="bandwidth-negative"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=10**400), "bandwidth",
+    pytest.param(lambda d: _user(d).update(profile=[600, True]), "profile", id="sample-bool"),
+    # A state/2 profile object, which held the sample under a key.
+    pytest.param(lambda d: _user(d).update(profile={"bandwidth": 5.0}),
+                 "profile: expected a list of integers or null", id="sample-missing"),
+    # The bandwidth is the config's, or recomputed: no snapshot field holds it.
+    pytest.param(_fixed_bandwidth(0.0), "config: fixed bandwidth", id="bandwidth-zero"),
+    pytest.param(_fixed_bandwidth(-2.5), "config: fixed bandwidth", id="bandwidth-negative"),
+    pytest.param(_fixed_bandwidth(10**400), "config: fixed bandwidth",
                  id="bandwidth-huge-int"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=True), "bandwidth",
-                 id="bandwidth-bool"),
-    pytest.param(lambda d: d["users"]["u1"]["profile"].update(bandwidth=float("inf")),
-                 "bandwidth", id="bandwidth-inf"),
-    pytest.param(lambda d: d["users"]["u1"]["events_by_week"].update({"202225": [True]}),
-                 "events_by_week\\[202225\\]", id="minute-bool"),
-    pytest.param(lambda d: d["users"]["u1"].update(used_periods=[True]), "used_periods",
+    pytest.param(_fixed_bandwidth(True), "config: fixed bandwidth", id="bandwidth-bool"),
+    pytest.param(_fixed_bandwidth(float("inf")), "config: fixed bandwidth",
+                 id="bandwidth-inf"),
+    pytest.param(lambda d: _user(d)["weeks"].update({"202226": [True]}),
+                 "weeks\\[202226\\]", id="minute-bool"),
+    pytest.param(lambda d: _user(d).update(used=True), "used: expected an integer",
                  id="used_periods-bool"),
-    pytest.param(lambda d: d["users"]["u1"].update(accumulated_periods=[True]),
-                 "accumulated_periods", id="accumulated_periods-bool"),
-    pytest.param(lambda d: d["users"]["u1"].update(used_periods=[202299]),
+    pytest.param(lambda d: _user(d)["weeks"].update({"true": [1]}),
+                 "bad period key 'true'", id="accumulated_periods-bool"),
+    pytest.param(lambda d: _user(d).update(weeks={"202299": [600]}, used=1),
                  "used_periods: 202299 is not an ISO week", id="used-week-99"),
-    pytest.param(lambda d: d["users"]["u1"].update(accumulated_periods=[202299]),
+    pytest.param(lambda d: _user(d).update(weeks={"202226": [600], "202299": [600]}, used=1),
                  "accumulated_periods: 202299 is not an ISO week", id="accumulated-week-99"),
-    pytest.param(lambda d: d["users"]["u1"]["events_by_week"].update({"202153": [1]}),
-                 "events_by_week: 202153 is not an ISO week", id="events-week-53"),
-    pytest.param(lambda d: d["users"]["u1"]["events_by_week"].update({"2022_25": [1]}),
+    pytest.param(lambda d: _user(d)["weeks"].update({"202153": [1]}),
+                 "accumulated_periods: 202153 is not an ISO week", id="events-week-53"),
+    pytest.param(lambda d: _user(d)["weeks"].update({"2022_25": [1]}),
                  "bad period key '2022_25'", id="events-key-not-canonical"),
-    pytest.param(lambda d: d["users"]["u1"].pop("profile"), "missing key 'profile'",
+    pytest.param(lambda d: _user(d).pop("profile"), "missing key 'profile'",
                  id="profile-missing"),
+    pytest.param(lambda d: _user(d).update(bandwidth=5.0), "unknown key 'bandwidth'",
+                 id="unknown-key"),
+    pytest.param(lambda d: _user(d).pop("used"), "missing key 'used'", id="used-missing"),
+    pytest.param(lambda d: _user(d).update(used=0), "used: expected an integer in \\[1, 4\\]",
+                 id="used-zero"),
+    pytest.param(lambda d: _user(d).update(used=5), "used: expected an integer in \\[1, 4\\]",
+                 id="used-past-the-weeks"),
+    pytest.param(lambda d: _user(d).update(used=-1), "used: expected an integer",
+                 id="used-negative"),
+    pytest.param(lambda d: _user(d)["weeks"].update({"202229": []}),
+                 "week 202229 holds no minutes", id="week-empty"),
+    pytest.param(lambda d: _user(d)["weeks"].update({"202225": [600]}),
+                 "accumulated period 202225 does not follow", id="weeks-out-of-order"),
 ])
 def test_restore_names_the_corrupt_location(mutate, location):
     _, engines = run_monitor(trace_lines(), CONFIG, None)
@@ -292,7 +307,21 @@ def test_restore_rejects_a_state_1_snapshot_naming_both_schemas():
         restore_state(doc)
     message = str(info.value)
     assert "'astd-monitor/state/1'" in message
+    assert "'astd-monitor/state/3'" in message
+    assert "regenerate the snapshot" in message
+
+
+def test_restore_rejects_a_state_2_snapshot_naming_both_schemas():
+    doc = {"schema": "astd-monitor/state/2", "config": CONFIG.to_dict(),
+           "users": {TRACE_USER: {
+               "events_by_week": {"202225": [540]}, "used_periods": [202225],
+               "accumulated_periods": [], "start_kde": False, "alerts": [],
+               "profile": None}}}
+    with pytest.raises(RestoreError) as info:
+        restore_state(json.dumps(doc))
+    message = str(info.value)
     assert "'astd-monitor/state/2'" in message
+    assert "'astd-monitor/state/3'" in message
     assert "regenerate the snapshot" in message
 
 
@@ -300,8 +329,22 @@ def test_snapshot_profile_holds_no_density_grid():
     _, engines = run_monitor(trace_lines(), CONFIG, None)
     profile = dump_state(engines[0])["users"][TRACE_USER]["profile"]
     state = engines[0].entity_state(TRACE_USER)
-    assert profile == {"bandwidth": state.profile.bandwidth,
-                       "sample": state.profile.sample.tolist()}
+    assert profile == state.profile.sample.tolist()
+
+
+def test_snapshot_user_holds_four_keys_each_fact_once():
+    _, engines = run_monitor(trace_lines(TRACE_EVENTS[:13]), CONFIG, None)
+    user = dump_state(engines[0])["users"][TRACE_USER]
+    assert user == {
+        "weeks": {"202225": [540, 570, 600], "202227": [555, 585, 615],
+                  "202228": [545, 590, 610, 560], "202229": [570, 180]},
+        "used": 3,
+        "alerts": ["e13"],
+        "profile": [540, 570, 600, 555, 585, 615, 545, 590, 610, 560],
+    }
+    state = restore_state(json.dumps(dump_state(engines[0]))).entity_state(TRACE_USER)
+    assert (state.used_periods, state.accumulated_periods) == \
+        ([202225, 202227, 202228], [202229])
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +364,7 @@ def test_snapshot_restores_profiles_bit_for_bit(sample, circular, fixed):
     engine = MonitorEngine(config)
     engine.adopt_user("u", EntityState(
         events_by_week={202225: list(sample)}, used_periods=[202225],
-        accumulated_periods=[], start_kde=False, profile=profile, alerts=[]))
+        accumulated_periods=[], profile=profile, alerts=[]))
     text = json.dumps(dump_state(engine))
     restored = restore_state(text)
     again = restored.entity_state("u").profile
@@ -339,3 +382,93 @@ def test_restored_profile_scores_like_the_original():
     original_alerts = engines[0].process("probe", TRACE_USER, *probe)
     restored_alerts = restored.process("probe", TRACE_USER, *probe)
     assert [a.density for a in original_alerts] == [a.density for a in restored_alerts]
+
+
+# --------------------------------------------------------------------------
+# The cut-anywhere referee
+# --------------------------------------------------------------------------
+
+# Week moves between consecutive lines: mostly the same or the next week, and
+# sometimes a late week (interior, a walk back, stale) or a far jump either way.
+_WEEK_MOVES = (0,) * 12 + (1,) * 6 + (-1, -1, -2, -3, -5, -9, 26, -26)
+# Mondays of ISO 2020-W50 and 2021-W50: the streams cross a 53- or a
+# 52-week ISO year.
+_MONDAYS = (date(2020, 12, 7), date(2021, 12, 13))
+
+
+def event_line(event_id, user, day, minute, second=0):
+    ts = f"{day.isoformat()}T{minute // 60:02d}:{minute % 60:02d}:{second:02d}Z"
+    return json.dumps({"Id": event_id, "CreationTime": ts, "UserId": user}) + "\n", ts
+
+
+@st.composite
+def monitored_streams(draw):
+    """A config, the LDJSON lines, the well-formed events as
+    ``(event id, user, timestamp)``, the planted malformed lines by reason,
+    and a cut index."""
+    fixed = draw(st.one_of(st.none(), st.floats(0.5, 300.0)))
+    config = DetectorConfig(
+        n=draw(st.integers(1, 4)), k=draw(st.integers(1, 12)),
+        threshold=draw(st.sampled_from([0.0005, 0.001, 0.003])),
+        max_gap_weeks=draw(st.integers(0, 4)), circular=draw(st.booleans()),
+        bandwidth_method="silverman" if fixed is None else "fixed", bandwidth_value=fixed)
+    monday = draw(st.sampled_from(_MONDAYS))
+    users = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from([None] * 72 + MALFORMED_LINES),
+        st.sampled_from(users), st.sampled_from(_WEEK_MOVES), st.integers(0, 6),
+        st.one_of(st.integers(480, 660), st.integers(0, 1439)), st.integers(0, 59)),
+        min_size=30, max_size=160))
+    lines, events, planted, week = [], [], Counter(), 0
+    for i, (malformed, user, move, weekday, minute, second) in enumerate(steps):
+        if malformed is not None:
+            lines.append(malformed[0] + "\n")
+            planted[malformed[1]] += 1
+            continue
+        week += move
+        line, ts = event_line(f"e{i}", user, monday + timedelta(weeks=week, days=weekday),
+                              minute, second)
+        lines.append(line)
+        events.append((f"e{i}", user, ts))
+    return config, lines, events, dict(planted), draw(st.integers(0, len(lines)))
+
+
+def alert_bytes(alerts):
+    return "".join(alert_to_json(a) + "\n" for a in alerts)
+
+
+# The example count comes from the active hypothesis profile; CI runs this
+# test again under the deeper "ci" profile (tests/conftest.py).
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=monitored_streams())
+def test_any_stream_cut_anywhere_matches_the_interpreter_and_an_unbroken_run(case):
+    config, lines, events, planted, cut = case
+    straight = []
+    stats, engines = run_monitor(lines, config, straight.append)
+    assert stats.malformed_by_reason == planted
+    interpreted = InterpretedMonitor(config)
+    expected = [alert for event in events for alert in interpreted.process(*event)[1]]
+    assert alert_bytes(straight) == alert_bytes(expected)
+
+    resumed = []
+    _, head = run_monitor(lines[:cut], config, resumed.append)
+    for state in head[0].export_users().values():
+        state.check_invariants()
+    restored = restore_state(json.dumps(dump_state(head)))
+    _, tail = run_monitor(lines[cut:], restored.config, resumed.append,
+                          initial_users=restored.export_users())
+    assert alert_bytes(resumed) == alert_bytes(straight)
+    assert json.dumps(dump_state(tail)) == json.dumps(dump_state(engines))
+
+
+@pytest.mark.xfail(strict=True, reason="insert_period compares a new head only with "
+                   "the current head, so a walk back one week at a time is never stale")
+def test_a_walk_back_keeps_the_window_bounded():
+    config = DetectorConfig()
+    monday = date(2022, 7, 25)  # ISO 2022-W30
+    days = [monday + timedelta(weeks=w, days=d) for w in range(3) for d in range(4)]
+    days += [monday - timedelta(weeks=i) for i in range(1, 101)]
+    lines = [event_line(f"e{i}", "u", day, 540)[0] for i, day in enumerate(days)]
+    _, engines = run_monitor(lines, config)
+    state = engines[0].entity_state("u")
+    assert len(state.used_periods) + len(state.accumulated_periods) <= config.n + config.k
