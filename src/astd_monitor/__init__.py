@@ -6,7 +6,7 @@ weeks, fits a kernel-density profile of activity over the 1440 minutes of
 the day, and flags events whose minute-of-day density falls at or below a
 threshold. The composition (one detector per user, training and alerting
 fed the same event) is expressed with a small state-machine algebra,
-which the engine compiles instead of interpreting; see `astd_monitor.astd`.
+which the engine runs through its interpreter; see `astd_monitor.astd`.
 """
 
 from astd_monitor.detector import (

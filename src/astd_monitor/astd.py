@@ -1,4 +1,4 @@
-"""A small algebra of hierarchical state machines: interpreter and compiler.
+"""A small algebra of hierarchical state machines and its interpreter.
 
 Three node kinds compose a finite tree:
 
@@ -23,17 +23,11 @@ by name and resolved when the tree is built. Guards and actions receive
 ``(payload, attrs)``; initializers take no arguments. An event that no
 path can execute is a no-op and leaves no trace anywhere in the tree.
 
-Two ways run a tree, and both step an event as ``(label, payload)`` and
-return whether it executed. ``build`` and ``step`` interpret it: every
-step walks the instance tree and resolves each guard and action by name.
-The interpreter is the executable specification, and the tests hold the
-compiled form to it.
-
-``compile`` accepts the same trees as ``build`` when the root is an
-interleave, resolves every guard, action and initializer once, and returns
-a ``Program`` whose ``step`` runs those closures in the interpreter's order.
-Each key's child is its attribute dict plus the current state of each
-automaton.
+``build`` validates a tree and returns its instance tree, and ``step``
+delivers one event as ``(label, payload)`` and returns whether it
+executed: every step walks the instances and resolves each guard and
+action by name. The interpreter is the executable specification and the
+detector's only runtime.
 """
 
 from __future__ import annotations
@@ -122,7 +116,8 @@ class AutomatonInstance:
                 if tr.action is not None:
                     registry[tr.action](payload, self.scope)
                 self.state = tr.target
-                _run_node_action(self.node, registry, self.scope, payload)
+                if self.node.action is not None:
+                    registry[self.node.action](payload, self.scope)
                 return True
         return False
 
@@ -143,7 +138,8 @@ class FlowInstance:
         ran_left = self.left._step(label, payload)
         ran_right = self.right._step(label, payload)
         if ran_left or ran_right:
-            _run_node_action(self.node, self._registry, self.scope, payload)
+            if self.node.action is not None:
+                self._registry[self.node.action](payload, self.scope)
             return True
         return False
 
@@ -172,14 +168,15 @@ class InterleaveInstance:
             return True
         return False  # a fresh child that refused the event leaves no trace
 
+    def ensure_child(self, key: Any) -> AstdInstance:
+        """Get or create the persistent child bound to ``key``."""
+        child = self.children.get(key)
+        if child is None:
+            child = self.children[key] = _instantiate(self.node.child, self._registry)
+        return child
+
 
 AstdInstance = Union[AutomatonInstance, FlowInstance, InterleaveInstance]
-
-
-def _run_node_action(node: Automaton | Flow, registry: Registry, scope: dict[str, Any],
-                     payload: Mapping[str, Any]) -> None:
-    if node.action is not None:
-        registry[node.action](payload, scope)
 
 
 # --------------------------------------------------------------------------
@@ -279,121 +276,3 @@ def build(spec: AstdNode, registry: Registry) -> AstdInstance:
 def step(instance: AstdInstance, label: str, payload: Mapping[str, Any]) -> bool:
     """Deliver one event; return whether it executed."""
     return instance._step(label, payload)
-
-
-# --------------------------------------------------------------------------
-# Compiled form
-# --------------------------------------------------------------------------
-
-# A compiled node: (label, payload, attrs, states) -> whether it executed.
-_Run = Callable[[str, Mapping[str, Any], dict, list], bool]
-
-
-class CompiledChild:
-    """One key's state in a compiled program: the flat attribute dict and
-    the current state of every automaton, in pre-order."""
-
-    __slots__ = ("attrs", "states")
-
-    def __init__(self, attrs: dict[str, Any], states: list[str]):
-        self.attrs = attrs
-        self.states = states
-
-
-class Program:
-    """An interleave compiled by :func:`compile`: one child per key."""
-
-    __slots__ = ("children", "_variable", "_inits", "_initial_states", "_run")
-
-    def __init__(self, variable: str, inits: tuple[tuple[str, Callable], ...],
-                 initial_states: tuple[str, ...], run: _Run):
-        self.children: dict[Any, CompiledChild] = {}
-        self._variable = variable
-        self._inits = inits
-        self._initial_states = initial_states
-        self._run = run
-
-    def _fresh(self) -> CompiledChild:
-        return CompiledChild({name: init() for name, init in self._inits},
-                             list(self._initial_states))
-
-    def ensure_child(self, key: Any) -> CompiledChild:
-        """Get or create the persistent child bound to ``key``."""
-        child = self.children.get(key)
-        if child is None:
-            child = self.children[key] = self._fresh()
-        return child
-
-    def step(self, label: str, payload: Mapping[str, Any]) -> bool:
-        """Deliver one event; return whether it executed."""
-        try:
-            key = payload[self._variable]
-        except KeyError:
-            raise DispatchError(
-                f"event {label!r} has no {self._variable!r} in its payload"
-            ) from None
-        child = self.children.get(key)
-        if child is not None:
-            return self._run(label, payload, child.attrs, child.states)
-        child = self._fresh()
-        if self._run(label, payload, child.attrs, child.states):
-            self.children[key] = child
-            return True
-        return False  # a fresh child that refused the event leaves no trace
-
-
-def _compile_node(node: AstdNode, registry: Registry, automata: list[Automaton]) -> _Run:
-    action = registry[node.action] if node.action is not None else None
-    if isinstance(node, Flow):
-        left = _compile_node(node.left, registry, automata)
-        right = _compile_node(node.right, registry, automata)
-
-        def run_flow(label, payload, attrs, states):
-            # Left first; the right child's guards see the left child's writes.
-            ran_left = left(label, payload, attrs, states)
-            if right(label, payload, attrs, states) or ran_left:
-                if action is not None:
-                    action(payload, attrs)
-                return True
-            return False
-        return run_flow
-
-    index = len(automata)
-    automata.append(node)
-    table: dict[tuple[str, str], list] = {}
-    for tr in node.transitions:
-        table.setdefault((tr.source, tr.event), []).append((
-            registry[tr.guard] if tr.guard is not None else None,
-            registry[tr.action] if tr.action is not None else None,
-            tr.target,
-        ))
-    frozen = {key: tuple(options) for key, options in table.items()}
-
-    def run_automaton(label, payload, attrs, states):
-        for guard, transition_action, target in frozen.get((states[index], label), ()):
-            if guard is None or guard(payload, attrs):
-                if transition_action is not None:
-                    transition_action(payload, attrs)
-                states[index] = target
-                if action is not None:
-                    action(payload, attrs)
-                return True
-        return False
-    return run_automaton
-
-
-def compile(spec: AstdNode, registry: Registry) -> Program:
-    """Validate a composition tree as :func:`build` does and compile it.
-
-    The root must also be an interleave; otherwise :class:`BuildError` is
-    raised.
-    """
-    _validate(spec, registry)
-    _check_shape(spec)
-    if not isinstance(spec, Interleave):
-        raise BuildError(f"compile needs an interleave at the root, not {spec.name!r}")
-    top = spec.child
-    automata: list[Automaton] = []
-    run = _compile_node(top, registry, automata)
-    inits = tuple((decl.name, registry[decl.initializer]) for decl in top.attributes)
-    return Program(spec.variable, inits, tuple(a.initial for a in automata), run)

@@ -13,8 +13,9 @@ an isolated two-automaton pipeline sharing one attribute scope:
 The training side runs first within each step, so the very event that
 completes a window is scored against the profile that window produced.
 
-``MonitorEngine`` runs the composition compiled (``astd.compile``): each
-user is one flat attribute dict, and each event is one call of ``step``,
+``MonitorEngine`` runs the composition through the interpreter
+(``astd.build``): each user is one flat attribute dict shared by the two
+automata, and each event is one call of ``step`` on the root interleave,
 whose payload carries the event's ISO week (``period``) and minute of day
 as ints, parsed once at ingest. Refits and alerts reach the engine's
 counters through the registry's ``on_refit`` and ``on_alert`` hooks. The
@@ -44,10 +45,10 @@ from .astd import (
     Automaton,
     Flow,
     Interleave,
-    Program,
+    InterleaveInstance,
     Transition,
+    build,
 )
-from .astd import compile as compile_spec
 from .calendar_periods import (
     DEFAULT_MAX_GAP_WEEKS,
     count_events,
@@ -379,8 +380,9 @@ def make_registry(config: DetectorConfig, *,
     }
 
 
-# The engine's one call into the compiled program per event.
-step = Program.step
+# The engine's one call into the interpreter per event: the root
+# interleave's step, bound directly so that no wrapper sits in between.
+step = InterleaveInstance._step
 
 
 # --------------------------------------------------------------------------
@@ -389,8 +391,8 @@ step = Program.step
 
 class _Tally:
     """What the registry hooks report to one engine: the refits so far and
-    the alerts of the current step. The compiled program references this,
-    never the engine, so a dropped engine is freed at once instead of at
+    the alerts of the current step. The instance tree's registry references
+    this, never the engine, so a dropped engine is freed at once instead of at
     the next cyclic garbage collection."""
 
     __slots__ = ("refits", "raised")
@@ -404,14 +406,14 @@ class _Tally:
 
 
 class MonitorEngine:
-    """Runs the compiled composition one event at a time and collects alerts."""
+    """Runs the interpreted composition one event at a time and collects alerts."""
 
     def __init__(self, config: DetectorConfig | None = None):
         self.config = config if config is not None else DetectorConfig()
         self.config.validate()
         self.alerts_emitted = 0
         self._tally = tally = _Tally()
-        self._program = compile_spec(detector_spec(), make_registry(
+        self._root = build(detector_spec(), make_registry(
             self.config, on_refit=tally.count_refit, on_alert=tally.raised.append))
 
     @property
@@ -420,14 +422,14 @@ class MonitorEngine:
 
     @property
     def users_seen(self) -> int:
-        return len(self._program.children)
+        return len(self._root.children)
 
     def process(self, event_id: str, user_id: str, period: int,
                 minute: int) -> list[AlertRecord]:
         """Deliver one event, of ISO week ``period`` (``YYYYWW``) at ``minute``
         of the day (``calendar_periods.parse_timestamp`` gives both); return
         the alerts it raised (empty or one)."""
-        step(self._program, EVENT_LABEL, {
+        step(self._root, EVENT_LABEL, {
             USER_VAR: user_id,
             "event_id": event_id,
             "period": period,
@@ -443,14 +445,14 @@ class MonitorEngine:
 
     def attributes(self) -> dict[str, Mapping[str, Any]]:
         """Every seen user's live attribute dict (not a copy), by user id."""
-        return {user: child.attrs for user, child in self._program.children.items()}
+        return {user: child.scope for user, child in self._root.children.items()}
 
     def entity_state(self, user_id: str) -> EntityState | None:
         """Deep-copied state of one user, or None if never seen."""
-        child = self._program.children.get(user_id)
+        child = self._root.children.get(user_id)
         if child is None:
             return None
-        return EntityState.capture(child.attrs)
+        return EntityState.capture(child.scope)
 
     def export_users(self) -> dict[str, EntityState]:
         return {user: EntityState.capture(attrs)
@@ -458,7 +460,7 @@ class MonitorEngine:
 
     def adopt_user(self, user_id: str, state: EntityState) -> None:
         """Install a previously captured state for one user."""
-        attrs = self._program.ensure_child(user_id).attrs
+        attrs = self._root.ensure_child(user_id).scope
         attrs["events_by_week"] = {int(p): [int(m) for m in v]
                                    for p, v in state.events_by_week.items()}
         attrs["used_periods"] = [int(p) for p in state.used_periods]

@@ -166,13 +166,13 @@ def select_bandwidth(sample: Sequence[MinuteOfDay]) -> float:
     x = np.asarray(sample, dtype=np.float64)
     dev = x - np.add.reduce(x) / m
     sigma = math.sqrt(np.add.reduce(dev * dev) / m)
-    ordered = sorted(sample)
+    ordered = np.sort(x)
     iqr = _percentile(ordered, 0.75) - _percentile(ordered, 0.25)
     h = 0.9 * min(sigma, iqr / 1.34) * m ** -0.2
     return max(h, MIN_BANDWIDTH)
 
 
-def _percentile(ordered: Sequence[MinuteOfDay], q: float) -> float:
+def _percentile(ordered: np.ndarray, q: float) -> float:
     """np.percentile's default (linear) method on an already sorted sample,
     with the same float operations, so the result is bit for bit the same."""
     pos = (len(ordered) - 1) * q

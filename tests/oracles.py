@@ -6,8 +6,9 @@ are ``broadcast_kde``, ``convolve_kde`` and ``silverman_numpy``: they keep
 the package's former arithmetic so that tests can require equal bits, not
 just close values, because alert records carry the density's last digits; and
 ``InterpretedMonitor``, which runs the detector's composition through the
-package's own interpreter, the executable specification of the compiled
-engine. ``datetime_timestamp`` keeps the package's former timestamp parser,
+package's own interpreter, as the engine does, but parses with the oracle's
+own ``period_of``/``minute_of`` and collects alerts from its own hook.
+``datetime_timestamp`` keeps the package's former timestamp parser,
 which defines which strings are timestamps."""
 
 from __future__ import annotations
@@ -206,10 +207,12 @@ class WindowOracle:
 
 
 class InterpretedMonitor:
-    """The detector composition stepped by the interpreter (``astd.step``),
-    to run in lockstep with a compiled ``MonitorEngine``. Its registry's
-    three actions record their names in call order, and its ``on_alert``
-    hook collects the alerts."""
+    """The detector composition stepped by the public ``astd.step``, to run
+    in lockstep with a ``MonitorEngine``. Both use the same interpreter, so
+    what it referees is the rest of the engine's path: the timestamp parser
+    (it parses with ``period_of``/``minute_of``), the action order (its
+    registry's three actions record their names in call order) and the
+    engine's alert plumbing (its own ``on_alert`` hook collects the alerts)."""
 
     def __init__(self, config):
         from astd_monitor.astd import build

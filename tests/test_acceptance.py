@@ -210,7 +210,7 @@ def test_criterion_4_runtime_semantics(announce):
                 actions, expected_alerts = interpreted.process(event_id, user, ts)
                 state = engine.entity_state(user)
 
-                # the compiled engine agrees with the interpreter, its spec
+                # the engine's parser and alert plumbing agree with the oracle's
                 assert alerts == expected_alerts
                 assert state == interpreted.entity_state(user)
 

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import astd_monitor
-from astd_monitor import cli
+from astd_monitor import cli, detector
 from astd_monitor.cli import load_config, main, parse_config_text
 from astd_monitor.detector import ConfigError
-from astd_monitor.trace import TRACE_EVENTS, TRACE_USER
+from astd_monitor.trace import TRACE_EVENTS, TRACE_USER, run_trace
 
 CONFIG_TEXT = """\
 # window management
@@ -317,3 +317,13 @@ def test_replay_trace_passes_and_reports(capsys):
     assert out.count("PASS") == 5
     assert "one short of k=10" in out        # the window-advance deferral note
     assert "alerts: ['e13']" in out
+
+
+def test_replay_trace_reports_a_refit_that_never_runs_as_a_fail(monkeypatch, capsys):
+    # The refresh flag then stays set, and no state can be captured.
+    monkeypatch.setattr(detector, "refresh_profile", lambda attrs, config: False)
+    assert run_trace().passed is False
+    assert run_cli(["replay-trace"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  refresh flag consumed after e12" in out
+    assert "CHECKPOINT MISMATCH" in out

@@ -346,9 +346,11 @@ def test_alert_record_rejects_density_above_threshold():
 # --------------------------------------------------------------------------
 
 def lockstep(events, config=CONFIG):
-    """Step ``events`` through the compiled engine and the interpreter side
-    by side; yield the interpreter's action names after each step, once the
-    alerts and the stepped user's state have been found equal."""
+    """Step ``events`` through the engine and ``InterpretedMonitor`` side by
+    side; yield the monitor's action names after each step, once the alerts
+    and the stepped user's state have been found equal. This referees the
+    engine's parser, action order and alert plumbing, not the interpreter,
+    which both share."""
     engine = MonitorEngine(config)
     interpreted = InterpretedMonitor(config)
     for event_id, user, ts in events:
