@@ -14,7 +14,6 @@ detector keys on; no :class:`datetime.datetime` is built per event.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from datetime import date
 from typing import Iterable, Mapping, Sequence
 
@@ -77,28 +76,6 @@ def week_distance(earlier: Period, later: Period) -> int:
     week_distance(202252, 202301) == 1.
     """
     return (period_start(later) - period_start(earlier)).days // 7
-
-
-def insert_period(
-    periods: Sequence[Period],
-    period: Period,
-    max_gap_weeks: int = DEFAULT_MAX_GAP_WEEKS,
-) -> list[Period]:
-    """Insert ``period`` into a strictly ascending list, rejecting stale heads.
-
-    Returns a new list; the input is never modified. ``period`` must not
-    already be present (callers check membership first). When the period
-    would become the new head of a non-empty list and lies more than
-    ``max_gap_weeks`` weeks before the current head, it is considered a
-    late straggler and the list is returned unchanged. Interior, tail and
-    empty-list insertions are always accepted.
-    """
-    at = bisect_right(periods, period)
-    if at == 0 and periods and week_distance(period, periods[0]) > max_gap_weeks:
-        return list(periods)
-    out = list(periods)
-    out.insert(at, period)
-    return out
 
 
 def count_events(

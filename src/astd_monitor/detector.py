@@ -29,14 +29,19 @@ first accumulated week raises ``start_kde`` (profile refit over the used
 window). When the window minus its oldest week plus the accumulated weeks
 reaches ``k`` events again (with at least two accumulated events), the
 window advances: oldest week dropped, accumulated weeks adopted, the
-accumulator cleared. Weeks more than ``max_gap_weeks`` older than the
-window head are never adopted, and their events are not recorded: every
-week in ``events_by_week`` is a used or an accumulated one.
+accumulator cleared. Every week in ``events_by_week`` is a used or an
+accumulated one, so only an event of a new week places it: in the window
+while that is short of ``n`` weeks or ``k`` events, or when the week is
+older than the window's newest, and in the accumulator otherwise. A new
+head week is refused, and its event not recorded, when it lies more than
+``max_gap_weeks`` before its list's head or when its list already holds
+``n + k`` weeks, so a walk back one week at a time stays bounded.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import insort
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping, MutableMapping
 
@@ -52,10 +57,10 @@ from .astd import (
 from .calendar_periods import (
     DEFAULT_MAX_GAP_WEEKS,
     count_events,
-    insert_period,
     period_start,
+    week_distance,
 )
-from .kde import KdeProfile, density_at, fit_profile, fuse_samples, select_bandwidth
+from .kde import KdeProfile, density_at, fit_profile, select_bandwidth
 
 EVENT_LABEL = "activity"
 USER_VAR = "user"
@@ -218,41 +223,39 @@ def add_event(attrs: MutableMapping[str, Any], period: int, minute: int,
     """Record one event, of ISO week ``period`` (``YYYYWW``) at ``minute`` of
     the day, and advance the sliding week window.
 
-    The minute is recorded only when its week is in the window or the
-    accumulator afterwards; a week too stale to join either keeps nothing,
-    so ``events_by_week`` never holds a week outside the two lists.
+    Every key of ``events_by_week`` is a used or an accumulated week, so a
+    known week only takes the minute. A new week is placed in one of the
+    two lists, or refused as a stale head, and then keeps nothing.
     """
     events = attrs["events_by_week"]
     used = attrs["used_periods"]
-    if (not used
-            or len(used) < config.n
-            or period <= used[-1]
-            or count_events(events, used) < config.k):
-        # Window still filling, or the event belongs to a current or past
-        # window week: try to adopt the week into the window.
-        if period not in used:
-            attrs["used_periods"] = insert_period(used, period, config.max_gap_weeks)
-    else:
-        # Window full and the week is strictly newer: accumulate it. The
-        # first accumulated week marks the window as complete, which
-        # triggers the profile refresh for this step.
-        acc = attrs["accumulated_periods"]
-        if not acc:
-            attrs["start_kde"] = True
-        if period not in acc:
-            attrs["accumulated_periods"] = insert_period(acc, period, config.max_gap_weeks)
-
-    used = attrs["used_periods"]
     acc = attrs["accumulated_periods"]
-    if period in used or period in acc:
-        events.setdefault(period, []).append(minute)
-    if len(used) < config.n or not acc:
+    minutes = events.get(period)
+    if minutes is None:
+        # Window still filling, or a week older than its newest: place it
+        # there. Otherwise accumulate it; the first accumulated week marks
+        # the window complete, which triggers the refit of this step.
+        if (len(used) < config.n or period < used[-1]
+                or count_events(events, used) < config.k):
+            periods = used
+        else:
+            if not acc:
+                attrs["start_kde"] = True
+            periods = acc
+        if periods and period < periods[0] and (
+                len(periods) >= config.n + config.k
+                or week_distance(period, periods[0]) > config.max_gap_weeks):
+            return
+        insort(periods, period)
+        minutes = events[period] = []
+    minutes.append(minute)
+    if not acc:
         return
     accumulated = count_events(events, acc)
     if accumulated >= 2 and count_events(events, used[1:]) + accumulated >= config.k:
-        events.pop(used[0], None)
-        attrs["used_periods"] = used[1:] + acc
-        attrs["accumulated_periods"] = []
+        del events[used.pop(0)]
+        used += acc
+        acc.clear()
 
 
 def refresh_profile(attrs: MutableMapping[str, Any], config: DetectorConfig) -> bool:
@@ -263,7 +266,8 @@ def refresh_profile(attrs: MutableMapping[str, Any], config: DetectorConfig) -> 
     if not attrs["start_kde"]:
         return False
     attrs["user_kde"] = None
-    sample = fuse_samples(attrs["events_by_week"], attrs["used_periods"])
+    events = attrs["events_by_week"]
+    sample = [m for p in attrs["used_periods"] for m in events[p]]
     if not sample:
         raise AssertionError("profile refresh requested with no training data")
     if config.bandwidth_method == "fixed":

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from astd_monitor.calendar_periods import MinuteOfDay, Period
+from astd_monitor.calendar_periods import MinuteOfDay
 
 GRID_MINUTES = 1440
 MIN_BANDWIDTH = 1.0
@@ -136,21 +136,6 @@ def _read_only(value: object, dtype: type | None = None) -> np.ndarray:
         a = a.copy()
         a.setflags(write=False)
     return a
-
-
-def fuse_samples(
-    events_by_week: Mapping[Period, Sequence[MinuteOfDay]],
-    used_periods: Iterable[Period],
-) -> list[MinuteOfDay]:
-    """Concatenate the minute lists of the window periods, in window order.
-
-    Periods missing from the mapping contribute nothing; keys outside the
-    window are ignored.
-    """
-    merged: list[MinuteOfDay] = []
-    for period in used_periods:
-        merged.extend(events_by_week.get(period, ()))
-    return merged
 
 
 def select_bandwidth(sample: Sequence[MinuteOfDay]) -> float:

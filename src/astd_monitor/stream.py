@@ -29,7 +29,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .calendar_periods import TimestampError, parse_timestamp
+from .calendar_periods import TimestampError, count_events, parse_timestamp
 from .detector import (
     AlertRecord,
     ConfigError,
@@ -325,5 +325,13 @@ def restore_state(snapshot: Mapping[str, Any] | str) -> MonitorEngine:
             state.check_invariants()
         except ValueError as exc:
             raise RestoreError(f"{where}: {exc}") from exc
+        # The window rules start accumulating only behind a full window.
+        if state.accumulated_periods:
+            used = state.used_periods
+            held = count_events(state.events_by_week, used)
+            if len(used) < config.n or held < config.k:
+                raise RestoreError(f"{where}: accumulated weeks behind a window short of "
+                                   f"n = {config.n} weeks or k = {config.k} events "
+                                   f"(weeks: {len(used)}, events: {held})")
         engine.adopt_user(user_id, state)
     return engine

@@ -156,7 +156,9 @@ class WindowOracle:
 
     Mirrors the engine's per-event behavior: an event's minute is kept only
     when its week ends up used or accumulated, so a stale week keeps
-    nothing. Profile fitting itself is left to the density oracles
+    nothing. A new head week is stale when it lies more than ``max_gap``
+    weeks before its list's head, or when its list already holds ``n + k``
+    weeks. Profile fitting itself is left to the density oracles
     (``profile_samples`` records each refit's training sample).
     """
 
@@ -175,7 +177,8 @@ class WindowOracle:
 
     def _insert(self, lst: list[int], p: int) -> list[int]:
         merged = sorted(lst + [p])
-        if lst and merged[0] == p and week_serial(lst[0]) - week_serial(p) > self.max_gap:
+        if lst and merged[0] == p and (week_serial(lst[0]) - week_serial(p) > self.max_gap
+                                       or len(merged) > self.n + self.k):
             return list(lst)
         return merged
 

@@ -1,4 +1,4 @@
-"""Calendar arithmetic: timestamp parsing, week periods, ordered insertion."""
+"""Calendar arithmetic: timestamp parsing, week periods, event counts."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from astd_monitor.calendar_periods import (
     DAY_CACHE_SIZE,
     TimestampError,
     count_events,
-    insert_period,
     parse_timestamp,
     period_start,
     week_distance,
@@ -219,48 +218,6 @@ def test_week_distance_antisymmetric(a, b):
 @given(periods, periods, periods)
 def test_week_distance_additive(a, b, c):
     assert week_distance(a, c) == week_distance(a, b) + week_distance(b, c)
-
-
-# --------------------------------------------------------------------------
-# insert_period
-# --------------------------------------------------------------------------
-
-def test_insert_period_examples():
-    assert insert_period([202225], 202221) == [202225]  # stale, rejected
-    assert insert_period([202227, 202228, 202229], 202226) == \
-        [202226, 202227, 202228, 202229]
-    assert insert_period([], 202230) == [202230]
-    assert insert_period([202227, 202229], 202228) == [202227, 202228, 202229]
-
-
-def test_insert_period_is_pure():
-    original = [202227, 202229]
-    result = insert_period(original, 202228)
-    assert original == [202227, 202229]
-    assert result is not original
-
-
-def test_insert_period_head_within_gap_accepted():
-    # distance 3 is not "more than 3"
-    assert insert_period([202225], 202222) == [202222, 202225]
-
-
-def test_insert_period_custom_gap():
-    assert insert_period([202225], 202221, max_gap_weeks=4) == [202221, 202225]
-    assert insert_period([202225], 202221, max_gap_weeks=3) == [202225]
-
-
-@given(st.lists(periods, unique=True, max_size=8), periods)
-def test_insert_period_properties(existing, p):
-    existing = sorted(existing, key=week_serial)
-    if p in existing:
-        return
-    result = insert_period(existing, p)
-    # always strictly ascending, never loses elements
-    assert [x for x in result if x != p] == existing
-    assert all(week_distance(a, b) > 0 for a, b in zip(result, result[1:]))
-    rejected = bool(existing) and week_serial(existing[0]) - week_serial(p) > 3
-    assert (p not in result) == rejected
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from astd_monitor.detector import (
     check_event,
     refresh_profile,
 )
-from astd_monitor.kde import density_at, fit_profile, fuse_samples, select_bandwidth
+from astd_monitor.kde import density_at, fit_profile, select_bandwidth
 from astd_monitor.trace import TRACE_EVENTS, TRACE_USER
 
 from oracles import InterpretedMonitor, WindowOracle, naive_kde, silverman_reference
@@ -176,10 +176,49 @@ def test_first_week_past_the_full_window_triggers_a_refit():
 
 def test_window_advance_drops_oldest_week_and_adopts_accumulated():
     attrs = fresh_attrs()
+    used, acc = attrs["used_periods"], attrs["accumulated_periods"]
     feed(attrs, [t for _, t in TRACE_EVENTS])
     assert attrs["used_periods"] == [202226, 202227, 202228, 202229]
     assert attrs["accumulated_periods"] == []
     assert 202225 not in attrs["events_by_week"]
+    # Updated in place: the lists are never rebound.
+    assert attrs["used_periods"] is used and attrs["accumulated_periods"] is acc
+
+
+def window(used, per_week):
+    """Attributes whose used weeks hold ``per_week`` events each."""
+    attrs = fresh_attrs()
+    attrs["used_periods"] = list(used)
+    attrs["events_by_week"] = {p: [540] * per_week for p in used}
+    return attrs
+
+
+@pytest.mark.parametrize("used,per_week,period,config,placed", [
+    pytest.param([], 1, 202230, CONFIG, [202230], id="empty-window"),
+    pytest.param([202227], 1, 202230, CONFIG, [202227, 202230], id="tail"),
+    pytest.param([202227, 202229], 1, 202228, CONFIG, [202227, 202228, 202229],
+                 id="interior"),
+    pytest.param([202227, 202228, 202229], 4, 202226, CONFIG,
+                 [202226, 202227, 202228, 202229], id="head-of-a-full-window"),
+    pytest.param([202225], 1, 202222, CONFIG, [202222, 202225], id="head-at-the-gap"),
+    pytest.param([202225], 1, 202221, CONFIG, [202225], id="head-beyond-the-gap"),
+    pytest.param([202225], 1, 202221, DetectorConfig(max_gap_weeks=4), [202221, 202225],
+                 id="head-at-a-custom-gap"),
+    pytest.param([202225], 1, 202220, DetectorConfig(max_gap_weeks=4), [202225],
+                 id="head-beyond-a-custom-gap"),
+    pytest.param([202301], 1, 202250, CONFIG, [202250, 202301], id="cross-year-head-at-the-gap"),
+    pytest.param([202301], 1, 202249, CONFIG, [202301], id="cross-year-head-beyond-the-gap"),
+    pytest.param([202225, 202226], 1, 202224, DetectorConfig(n=1, k=1), [202225, 202226],
+                 id="head-of-a-window-holding-n-plus-k-weeks"),
+])
+def test_add_event_places_a_new_week_or_refuses_a_stale_head(used, per_week, period,
+                                                             config, placed):
+    attrs = window(used, per_week)
+    add_event(attrs, period, 600, config)
+    assert attrs["used_periods"] == placed
+    assert attrs["accumulated_periods"] == []
+    assert sorted(attrs["events_by_week"]) == placed
+    assert attrs["events_by_week"].get(period) == ([600] if period in placed else None)
 
 
 def test_full_trace_matches_the_window_oracle_step_by_step():
@@ -201,18 +240,28 @@ def test_random_streams_match_the_window_oracle():
         config = DetectorConfig(n=int(rng.integers(1, 4)), k=int(rng.integers(1, 15)))
         attrs = fresh_attrs()
         oracle = WindowOracle(config.n, config.k, config.max_gap_weeks)
-        picks = np.sort(rng.choice(len(days), size=40))
-        if rng.random() < 0.5:  # sprinkle disorder, including stale arrivals
-            rng.shuffle(picks)
-        for day_index in picks:
-            ts = (f"{days[day_index]}T{rng.integers(0, 24):02d}:"
-                  f"{rng.integers(0, 60):02d}:00Z")
+
+        def step(ts):
             add_event(attrs, *parse_timestamp(ts), config)
             refresh_profile(attrs, config)
             oracle.feed(ts)
             assert attrs["used_periods"] == oracle.used
             assert attrs["accumulated_periods"] == oracle.acc
             assert attrs["events_by_week"] == oracle.events
+
+        picks = np.sort(rng.choice(len(days), size=40))
+        if rng.random() < 0.5:  # sprinkle disorder, including stale arrivals
+            rng.shuffle(picks)
+        for day_index in picks:
+            step(f"{days[day_index]}T{rng.integers(0, 24):02d}:{rng.integers(0, 60):02d}:00Z")
+        if trial % 3 == 0:
+            # Walk back from the window head one week at a time: no step is
+            # stale by the gap, so only the n + k bound stops the walk.
+            before = len(oracle.used)
+            head = date.fromisocalendar(oracle.used[0] // 100, oracle.used[0] % 100, 3)
+            for weeks in range(1, 26):
+                step(f"{head - timedelta(weeks=weeks)}T09:00:00Z")
+            assert len(oracle.used) <= max(before, config.n + config.k)
 
 
 WEEK_OFFSETS = st.one_of(
@@ -261,7 +310,11 @@ def test_refresh_without_flag_changes_nothing():
 def test_refresh_profile_matches_direct_fit():
     attrs = fresh_attrs()
     feed(attrs, [t for _, t in TRACE_EVENTS[:12]])
-    sample = fuse_samples(attrs["events_by_week"], attrs["used_periods"])
+    # The used weeks' minutes, week by week in window order, each week's in
+    # arrival order; the accumulated week W29 is left out.
+    assert attrs["used_periods"] == [202225, 202227, 202228]
+    sample = [540, 570, 600, 555, 585, 615, 545, 590, 610, 560]
+    assert attrs["user_kde"].sample.tolist() == sample
     expected = fit_profile(sample, select_bandwidth(sample))
     assert np.array_equal(attrs["user_kde"].densities, expected.densities)
     # and against the independent oracle at the engine's own bandwidth

@@ -16,7 +16,6 @@ from astd_monitor.kde import (
     KdeProfile,
     density_at,
     fit_profile,
-    fuse_samples,
     select_bandwidth,
 )
 from astd_monitor.stream import dump_state, restore_state
@@ -31,23 +30,6 @@ from oracles import (
 )
 
 rng = np.random.default_rng(20220625)
-
-
-# --------------------------------------------------------------------------
-# fuse_samples
-# --------------------------------------------------------------------------
-
-def test_fuse_samples_concatenates_in_window_order():
-    events = {202225: [600, 610], 202227: [700]}
-    assert fuse_samples(events, [202225, 202227]) == [600, 610, 700]
-
-
-def test_fuse_samples_empty_window():
-    assert fuse_samples({202225: [1]}, []) == []
-
-
-def test_fuse_samples_ignores_non_window_keys():
-    assert fuse_samples({202225: [600], 202299: [1]}, [202225]) == [600]
 
 
 # --------------------------------------------------------------------------
