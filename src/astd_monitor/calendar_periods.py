@@ -82,8 +82,6 @@ def count_events(
     events_by_week: Mapping[Period, Sequence[MinuteOfDay]],
     periods: Iterable[Period],
 ) -> int:
-    """Total number of recorded minutes across ``periods``.
-
-    Periods absent from the mapping contribute zero.
-    """
-    return sum(len(events_by_week.get(p, ())) for p in periods)
+    """Total number of recorded minutes across ``periods``, each a key of
+    ``events_by_week``."""
+    return sum(len(events_by_week[p]) for p in periods)

@@ -1,7 +1,7 @@
 """Per-user activity monitor composed from the state-machine algebra.
 
 The composition is an interleave over the event's user id; each user gets
-an isolated two-automaton pipeline sharing one attribute scope:
+an isolated attribute dict, which a two-automaton pipeline reads and writes:
 
 * ``training``: an unguarded self-loop whose transition action records the
   event into the sliding week window, and whose node action refits the
@@ -14,10 +14,10 @@ The training side runs first within each step, so the very event that
 completes a window is scored against the profile that window produced.
 
 ``MonitorEngine`` runs the composition through the interpreter
-(``astd.build``): each user is one flat attribute dict shared by the two
-automata, and each event is one call of ``step`` on the root interleave,
-whose payload carries the event's ISO week (``period``) and minute of day
-as ints, parsed once at ingest. Refits and alerts reach the engine's
+(``astd.build``): the root interleave maps each user to that dict, and
+each event is one call of ``step`` on that interleave, whose payload
+carries the event's ISO week (``period``) and minute of day as ints,
+parsed once at ingest. Refits and alerts reach the engine's
 counters through the registry's ``on_refit`` and ``on_alert`` hooks. The
 window parameters ``n`` and ``k`` and the ``threshold`` are read from the
 configuration, not copied into each user.
@@ -150,7 +150,7 @@ class AlertRecord:
 
 @dataclass
 class EntityState:
-    """Deep-copied view of one user's attribute scope at a step boundary:
+    """Deep-copied view of one user's attribute dict at a step boundary:
     the minutes of every used and accumulated week, the two week lists, the
     profile and the alert history. The refresh flag is not part of it,
     because it is false at every step boundary."""
@@ -212,6 +212,17 @@ class EntityState:
         for alert in self.alerts:
             if not isinstance(alert, str):
                 raise ValueError(f"alert id {alert!r} is not a string")
+
+    def check_window(self, config: DetectorConfig) -> None:
+        """Raise ValueError if weeks accumulate behind a window that
+        ``add_event`` would still fill. Needs :meth:`check_invariants` first."""
+        if self.accumulated_periods:
+            used = self.used_periods
+            held = count_events(self.events_by_week, used)
+            if len(used) < config.n or held < config.k:
+                raise ValueError(f"accumulated weeks behind a window short of "
+                                 f"n = {config.n} weeks or k = {config.k} events "
+                                 f"(weeks: {len(used)}, events: {held})")
 
 
 # --------------------------------------------------------------------------
@@ -448,23 +459,26 @@ class MonitorEngine:
         return alerts
 
     def attributes(self) -> dict[str, Mapping[str, Any]]:
-        """Every seen user's live attribute dict (not a copy), by user id."""
-        return {user: child.scope for user, child in self._root.children.items()}
+        """The root interleave's own map from each seen user id to that
+        user's live attribute dict: neither is a copy."""
+        return self._root.children
 
     def entity_state(self, user_id: str) -> EntityState | None:
         """Deep-copied state of one user, or None if never seen."""
-        child = self._root.children.get(user_id)
-        if child is None:
-            return None
-        return EntityState.capture(child.scope)
+        attrs = self._root.children.get(user_id)
+        return None if attrs is None else EntityState.capture(attrs)
 
     def export_users(self) -> dict[str, EntityState]:
         return {user: EntityState.capture(attrs)
                 for user, attrs in self.attributes().items()}
 
     def adopt_user(self, user_id: str, state: EntityState) -> None:
-        """Install a previously captured state for one user."""
-        attrs = self._root.ensure_child(user_id).scope
+        """Install a previously captured state for one user. Raises
+        ValueError, installing nothing, if the state breaks an invariant or
+        is one the window rules cannot reach."""
+        state.check_invariants()
+        state.check_window(self.config)
+        attrs = self._root.ensure_child(user_id)
         attrs["events_by_week"] = {int(p): [int(m) for m in v]
                                    for p, v in state.events_by_week.items()}
         attrs["used_periods"] = [int(p) for p in state.used_periods]

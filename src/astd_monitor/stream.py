@@ -29,7 +29,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .calendar_periods import TimestampError, count_events, parse_timestamp
+from .calendar_periods import TimestampError, parse_timestamp
 from .detector import (
     AlertRecord,
     ConfigError,
@@ -142,7 +142,8 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
 
     ``workers`` accepts only 1. ``on_progress`` fires every
     ``progress_every`` read lines with the running line count and the
-    engine list.
+    engine list. ``initial_users`` are adopted before the first line is
+    read, and one that ``MonitorEngine.adopt_user`` refuses raises ValueError.
 
     Returns the final statistics and a one-element list holding the engine.
     """
@@ -322,16 +323,7 @@ def restore_state(snapshot: Mapping[str, Any] | str) -> MonitorEngine:
         where = f"users[{user_id!r}]"
         state = _state_from_json(raw_state, where, config)
         try:
-            state.check_invariants()
+            engine.adopt_user(user_id, state)
         except ValueError as exc:
             raise RestoreError(f"{where}: {exc}") from exc
-        # The window rules start accumulating only behind a full window.
-        if state.accumulated_periods:
-            used = state.used_periods
-            held = count_events(state.events_by_week, used)
-            if len(used) < config.n or held < config.k:
-                raise RestoreError(f"{where}: accumulated weeks behind a window short of "
-                                   f"n = {config.n} weeks or k = {config.k} events "
-                                   f"(weeks: {len(used)}, events: {held})")
-        engine.adopt_user(user_id, state)
     return engine

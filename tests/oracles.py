@@ -251,4 +251,4 @@ class InterpretedMonitor:
     def entity_state(self, user_id: str):
         from astd_monitor.detector import EntityState
 
-        return EntityState.capture(self.root.children[user_id].scope)
+        return EntityState.capture(self.root.children[user_id])

@@ -50,6 +50,18 @@ def logging_registry():
     return registry, log
 
 
+def per_key(child):
+    return Interleave(name="root", variable="user", child=child)
+
+
+U1 = {"user": "u1"}
+
+
+def state_of(automaton, attrs):
+    """The control state of one automaton instance in one key's dict."""
+    return attrs.get(automaton, automaton.node.initial)
+
+
 # --------------------------------------------------------------------------
 # build
 # --------------------------------------------------------------------------
@@ -62,18 +74,18 @@ def test_build_initializes_fresh_instance():
 
 
 def test_build_names_missing_reference():
-    spec = loop_automaton("a", action="foo")
+    spec = per_key(loop_automaton("a", action="foo"))
     with pytest.raises(BuildError, match="foo"):
         build(spec, {})
 
 
 def test_build_single_state_loop_starts_in_that_state():
-    instance = build(loop_automaton("a"), {})
-    assert instance.state == "s0"
+    instance = build(per_key(loop_automaton("a")), {})
+    assert state_of(instance.child, instance.ensure_child("u1")) == "s0"
 
 
 def test_build_rejects_non_callable_registry_entry():
-    spec = loop_automaton("a", action="act")
+    spec = per_key(loop_automaton("a", action="act"))
     with pytest.raises(BuildError, match="act"):
         build(spec, {"act": 42})
 
@@ -81,24 +93,24 @@ def test_build_rejects_non_callable_registry_entry():
 def test_build_rejects_unknown_states():
     bad = Automaton(name="a", states=("s0",), initial="s1", transitions=())
     with pytest.raises(BuildError, match="s1"):
-        build(bad, {})
+        build(per_key(bad), {})
     bad = Automaton(name="a", states=("s0",), initial="s0",
                     transitions=(Transition("e", "s0", "nowhere"),))
     with pytest.raises(BuildError, match="nowhere"):
-        build(bad, {})
+        build(per_key(bad), {})
 
 
 def test_build_rejects_duplicate_attribute_names():
     spec = loop_automaton("a", attributes=[AttributeDecl("x", "init_zero"),
                                            AttributeDecl("x", "init_zero")])
     with pytest.raises(BuildError, match="duplicate"):
-        build(spec, {"init_zero": lambda: 0})
+        build(per_key(spec), {"init_zero": lambda: 0})
 
 
 def test_initializers_may_compute_values():
     spec = loop_automaton("a", attributes=[AttributeDecl("x", "make_x")])
-    instance = build(spec, {"make_x": lambda: 41 + 1})
-    assert instance.scope["x"] == 42
+    instance = build(per_key(spec), {"make_x": lambda: 41 + 1})
+    assert instance.ensure_child("u1")["x"] == 42
 
 
 # --------------------------------------------------------------------------
@@ -107,31 +119,31 @@ def test_initializers_may_compute_values():
 
 def flow_spec():
     registry, log = logging_registry()
-    spec = Flow(
+    spec = per_key(Flow(
         name="f",
         left=loop_automaton("a", action="a_tr", node_action="a_node"),
         right=loop_automaton("b", action="b_tr", node_action="b_node"),
         attributes=[AttributeDecl("log", "init_log"),
                     AttributeDecl("flag", "init_false")],
         action="flow_node",
-    )
+    ))
     return spec, registry
 
 
 def test_flow_runs_children_left_to_right_then_its_own_action():
     spec, registry = flow_spec()
     instance = build(spec, registry)
-    assert step(instance, "e", {}) is True
-    assert instance.scope["log"] == ["a_tr", "a_node", "b_tr", "b_node", "flow_node"]
+    assert step(instance, "e", U1) is True
+    assert instance.children["u1"]["log"] == ["a_tr", "a_node", "b_tr", "b_node", "flow_node"]
 
 
 def test_transition_action_runs_before_node_action():
     registry, _ = logging_registry()
     spec = loop_automaton("a", action="a_tr", node_action="a_node",
                           attributes=[AttributeDecl("log", "init_log")])
-    instance = build(spec, registry)
-    step(instance, "e", {})
-    assert instance.scope["log"] == ["a_tr", "a_node"]
+    instance = build(per_key(spec), registry)
+    step(instance, "e", U1)
+    assert instance.children["u1"]["log"] == ["a_tr", "a_node"]
 
 
 def test_left_childs_writes_are_visible_to_right_childs_guard():
@@ -148,9 +160,9 @@ def test_left_childs_writes_are_visible_to_right_childs_guard():
         attributes=[AttributeDecl("log", "init_log"),
                     AttributeDecl("flag", "init_false")],
     )
-    instance = build(spec, registry)
-    assert step(instance, "e", {}) is True
-    assert instance.scope == {"log": ["b_tr"], "flag": True}
+    instance = build(per_key(spec), registry)
+    assert step(instance, "e", U1) is True
+    assert instance.children["u1"] == {"log": ["b_tr"], "flag": True}
 
 
 def test_refused_event_is_a_noop():
@@ -159,18 +171,20 @@ def test_refused_event_is_a_noop():
                           node_action="a_node",
                           attributes=[AttributeDecl("log", "init_log"),
                                       AttributeDecl("flag", "init_false")])
-    instance = build(spec, registry)
-    assert step(instance, "e", {}) is False
-    assert instance.scope == {"log": [], "flag": False}  # node action did not run either
+    instance = build(per_key(spec), registry)
+    attrs = instance.ensure_child("u1")
+    assert step(instance, "e", U1) is False
+    assert attrs == {"log": [], "flag": False}  # node action did not run either
 
 
 def test_wrong_label_is_refused():
     registry, _ = logging_registry()
     spec = loop_automaton("a", action="a_tr",
                           attributes=[AttributeDecl("log", "init_log")])
-    instance = build(spec, registry)
-    assert step(instance, "other", {}) is False
-    assert instance.scope["log"] == []
+    instance = build(per_key(spec), registry)
+    attrs = instance.ensure_child("u1")
+    assert step(instance, "other", U1) is False
+    assert attrs == {"log": []}
 
 
 def test_first_matching_transition_in_declaration_order_fires():
@@ -181,29 +195,28 @@ def test_first_matching_transition_in_declaration_order_fires():
                      Transition("e", "s0", "s2", action="b_tr")),
         attributes=(AttributeDecl("log", "init_log"),),
     )
-    instance = build(spec, registry)
-    assert step(instance, "e", {}) is True
-    assert instance.state == "s1"
-    assert instance.scope["log"] == ["a_tr"]
+    instance = build(per_key(spec), registry)
+    assert step(instance, "e", U1) is True
+    attrs = instance.children["u1"]
+    assert state_of(instance.child, attrs) == "s1"
+    assert attrs["log"] == ["a_tr"]
+
+
+ON_OFF = Automaton(name="a", states=("off", "on"), initial="off",
+                   transitions=(Transition("e", "off", "on"),))
 
 
 def test_fired_transition_changes_state():
-    spec = Automaton(name="a", states=("off", "on"), initial="off",
-                     transitions=(Transition("e", "off", "on"),))
-    instance = build(spec, {})
-    assert step(instance, "e", {}) is True
-    assert instance.state == "on"
-    assert step(instance, "e", {}) is False  # no transition leaves "on"
-    assert instance.state == "on"
+    instance = build(per_key(ON_OFF), {})
+    assert step(instance, "e", U1) is True
+    assert state_of(instance.child, instance.children["u1"]) == "on"
+    assert step(instance, "e", U1) is False  # no transition leaves "on"
+    assert state_of(instance.child, instance.children["u1"]) == "on"
 
 
 # --------------------------------------------------------------------------
 # Interleave semantics
 # --------------------------------------------------------------------------
-
-def per_key(child):
-    return Interleave(name="root", variable="user", child=child)
-
 
 def interleave_spec():
     registry, _ = logging_registry()
@@ -218,8 +231,16 @@ def test_interleave_children_are_isolated():
     step(instance, "e", {"user": "u1"})
     step(instance, "e", {"user": "u2"})
     step(instance, "e", {"user": "u1"})
-    assert instance.children["u1"].scope["log"] == ["a_tr", "a_tr"]
-    assert instance.children["u2"].scope["log"] == ["a_tr"]
+    assert instance.children["u1"]["log"] == ["a_tr", "a_tr"]
+    assert instance.children["u2"]["log"] == ["a_tr"]
+
+
+def test_interleave_keeps_control_state_per_key():
+    instance = build(per_key(ON_OFF), {})
+    assert step(instance, "e", U1) is True
+    assert step(instance, "e", {"user": "u2"}) is True  # u2 still starts from "off"
+    assert step(instance, "e", U1) is False
+    assert [state_of(instance.child, instance.children[u]) for u in ("u1", "u2")] == ["on", "on"]
 
 
 def test_interleave_children_created_lazily_on_first_sight():
@@ -235,9 +256,8 @@ def test_interleave_refusing_fresh_child_leaves_no_trace():
     child = loop_automaton("a", guard="flag_set", action="a_tr",
                            attributes=[AttributeDecl("log", "init_log"),
                                        AttributeDecl("flag", "init_false")])
-    instance = build(Interleave(name="root", variable="user", child=child),
-                     registry)
-    assert step(instance, "e", {"user": "u1"}) is False
+    instance = build(per_key(child), registry)
+    assert step(instance, "e", U1) is False
     assert instance.children == {}
 
 
@@ -246,15 +266,14 @@ def test_ensure_child_gets_or_creates_the_persistent_child():
     instance = build(spec, registry)
     created = instance.ensure_child("u1")
     assert instance.children == {"u1": created}
-    assert created.scope == {"log": []} and created.state == "s0"
-    step(instance, "e", {"user": "u1"})
+    assert created == {"log": []} and state_of(instance.child, created) == "s0"
+    step(instance, "e", U1)
     assert instance.ensure_child("u1") is created
-    assert created.scope["log"] == ["a_tr"]
+    assert created["log"] == ["a_tr"]
 
 
 def test_interleave_missing_variable_raises_dispatch_error():
-    spec = Interleave(name="root", variable="user", child=loop_automaton("a"))
-    instance = build(spec, {})
+    instance = build(per_key(loop_automaton("a")), {})
     with pytest.raises(DispatchError):
         step(instance, "e", {"other": 1})
 
@@ -274,9 +293,9 @@ def test_child_reads_and_writes_ancestor_attribute():
                 left=loop_automaton("a", action="bump"),
                 right=loop_automaton("b", action="bump"),
                 attributes=[AttributeDecl("counter", "init_zero")])
-    instance = build(spec, registry)
-    step(instance, "e", {})
-    assert instance.scope["counter"] == 2
+    instance = build(per_key(spec), registry)
+    step(instance, "e", U1)
+    assert instance.children["u1"]["counter"] == 2
 
 
 def test_undeclared_attribute_write_adds_it():
@@ -287,8 +306,8 @@ def test_undeclared_attribute_write_adds_it():
     registry["write_ghost"] = write_ghost
 
     instance = build(per_key(loop_automaton("a", action="write_ghost")), registry)
-    step(instance, "e", {"user": "u1"})
-    assert instance.children["u1"].scope == {"ghost": 1}
+    step(instance, "e", U1)
+    assert instance.children["u1"] == {"ghost": 1}
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +322,7 @@ def test_same_sequence_yields_identical_results_and_state():
         spec, registry = interleave_spec()
         instance = build(spec, registry)
         executed = [step(instance, label, {"user": u}) for u in users for label in labels]
-        state = {u: child.scope["log"] for u, child in instance.children.items()}
+        state = {u: attrs["log"] for u, attrs in instance.children.items()}
         return executed, state
 
     first_executed, first_state = run()
@@ -319,26 +338,23 @@ def test_same_sequence_yields_identical_results_and_state():
 ZERO = (AttributeDecl("counter", "init_zero"),)
 
 
-@pytest.mark.parametrize("spec, accepted", [
-    pytest.param(loop_automaton("a"), True, id="no-interleave-root"),
+@pytest.mark.parametrize("spec", [
+    pytest.param(loop_automaton("a"), id="no-interleave-root"),
     pytest.param(per_key(Flow("f", loop_automaton("a", attributes=ZERO),
-                              loop_automaton("b"), attributes=ZERO)), False,
+                              loop_automaton("b"), attributes=ZERO)),
                  id="shadowed-name"),
     pytest.param(per_key(Flow("f", loop_automaton("a", attributes=ZERO),
                               loop_automaton("b"),
-                              attributes=(AttributeDecl("log", "init_log"),))), False,
+                              attributes=(AttributeDecl("log", "init_log"),))),
                  id="attributes-on-two-levels"),
     pytest.param(per_key(Flow("f", loop_automaton("a", attributes=ZERO),
-                              loop_automaton("b"))), False,
+                              loop_automaton("b"))),
                  id="attributes-below-the-top"),
     pytest.param(per_key(Flow("f", loop_automaton("a"),
-                              Interleave("inner", "item", loop_automaton("b")))), False,
+                              Interleave("inner", "item", loop_automaton("b")))),
                  id="nested-interleave"),
 ])
-def test_build_accepts_only_one_flat_attribute_dict_per_key(spec, accepted):
+def test_build_accepts_only_one_flat_attribute_dict_per_key(spec):
     registry, _ = logging_registry()
-    if accepted:  # a root that is not an interleave is its own per-key top
+    with pytest.raises(BuildError):
         build(spec, registry)
-    else:
-        with pytest.raises(BuildError):
-            build(spec, registry)

@@ -512,6 +512,28 @@ def test_capture_rejects_a_mid_step_dict():
         EntityState.capture(attrs)
 
 
+def test_adopt_user_installs_nothing_it_refuses():
+    engine = MonitorEngine(CONFIG)
+    overlapping = EntityState(events_by_week={202225: [540]}, used_periods=[202225],
+                              accumulated_periods=[202225], profile=None, alerts=[])
+    with pytest.raises(ValueError, match="overlap"):
+        engine.adopt_user("u", overlapping)
+    assert engine.users_seen == 0 and engine.entity_state("u") is None
+
+
+def test_each_user_is_one_dict_of_the_declared_attributes():
+    engine = MonitorEngine(CONFIG)
+    for event_id, ts in TRACE_EVENTS:
+        engine.process(event_id, TRACE_USER, *parse_timestamp(ts))
+    (user, attrs), = engine.attributes().items()
+    assert user == TRACE_USER
+    assert engine.attributes() is engine.attributes()  # the interleave's own map
+    # The single-state automata record no control state in the dict.
+    assert set(attrs) == {"events_by_week", "used_periods", "accumulated_periods",
+                          "start_kde", "user_kde", "alerts"}
+    assert EntityState.capture(attrs) == engine.entity_state(TRACE_USER)
+
+
 def test_counters_track_profiles_and_alerts():
     engine = MonitorEngine(CONFIG)
     for event_id, ts in TRACE_EVENTS:

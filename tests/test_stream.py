@@ -156,6 +156,22 @@ def test_run_monitor_returns_its_one_engine_for_dump_state():
         dump_state([])
 
 
+def test_run_monitor_refuses_an_unreachable_initial_user_before_reading_a_line():
+    # Accumulated weeks behind a one-week window: restore refuses this state,
+    # and adoption through initial_users must too.
+    state = EntityState(events_by_week={202225: [540], 202229: [600]},
+                        used_periods=[202225], accumulated_periods=[202229],
+                        profile=None, alerts=[])
+
+    def source():
+        raise AssertionError("a line was read")
+        yield
+
+    with pytest.raises(ValueError, match="accumulated weeks behind a window short of "
+                                         "n = 3 weeks or k = 10 events"):
+        run_monitor(source(), CONFIG, None, initial_users={"u": state})
+
+
 def test_stats_invariant_processed_equals_read_minus_malformed():
     lines = trace_lines() + ["garbage\n", '{"Id":"y"}\n']
     stats, _ = run_monitor(lines, CONFIG, None)
