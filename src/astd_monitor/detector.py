@@ -25,11 +25,12 @@ configuration, not copied into each user.
 Window management: ``used_periods`` holds the weeks feeding the current
 profile; once it spans at least ``n`` weeks holding at least ``k`` events,
 newer weeks collect in ``accumulated_periods``. The first event of the
-first accumulated week raises ``start_kde`` (profile refit over the used
-window). When the window minus its oldest week plus the accumulated weeks
-reaches ``k`` events again (with at least two accumulated events), the
-window advances: oldest week dropped, accumulated weeks adopted, the
-accumulator cleared. Every week in ``events_by_week`` is a used or an
+first accumulated week raises ``start_kde``: refit over the used window,
+noting in ``profile_counts`` how many minutes it read of each used week.
+When the window minus its oldest week plus the accumulated weeks reaches
+``k`` events again (with at least two accumulated events), the window
+advances: oldest week (and its count) dropped, accumulated weeks adopted,
+the accumulator cleared. Every week in ``events_by_week`` is a used or an
 accumulated one, so only an event of a new week places it: in the window
 while that is short of ``n`` weeks or ``k`` events, or when the week is
 older than the window's newest, and in the accumulator otherwise. A new
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import sys
 from bisect import insort
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, MutableMapping
 
 from .astd import (
@@ -150,16 +151,18 @@ class AlertRecord:
 
 @dataclass
 class EntityState:
-    """Deep-copied view of one user's attribute dict at a step boundary:
-    the minutes of every used and accumulated week, the two week lists, the
-    profile and the alert history. The refresh flag is not part of it,
-    because it is false at every step boundary."""
+    """Deep-copied view of one user's attribute dict at a step boundary,
+    without the refresh flag (false at every step boundary). The profile's
+    sample is the minutes of weeks that left the window since its refit,
+    then the leading ``profile_counts[week]`` minutes of each used week
+    (none for a week without a count)."""
 
     events_by_week: dict[int, list[int]]
     used_periods: list[int]
     accumulated_periods: list[int]
     profile: KdeProfile | None
     alerts: list[str]
+    profile_counts: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def capture(cls, attrs: Mapping[str, Any]) -> "EntityState":
@@ -171,13 +174,16 @@ class EntityState:
             accumulated_periods=list(attrs["accumulated_periods"]),
             profile=attrs["user_kde"],
             alerts=list(attrs["alerts"]),
+            profile_counts=dict(attrs["profile_counts"]),
         )
 
     def check_invariants(self) -> None:
         """Raise ValueError on the first violated state invariant."""
-        for name, periods in (("used_periods", self.used_periods),
-                              ("accumulated_periods", self.accumulated_periods)):
+        used, acc, events = self.used_periods, self.accumulated_periods, self.events_by_week
+        for name, periods in (("used_periods", used), ("accumulated_periods", acc)):
             for period in periods:
+                if type(period) is not int:
+                    raise ValueError(f"{name}: {period!r} is not an integer")
                 try:
                     period_start(period)
                 except ValueError as exc:
@@ -186,32 +192,45 @@ class EntityState:
             for a, b in zip(periods, periods[1:]):
                 if a >= b:
                     raise ValueError(f"{name} not strictly ascending: {a} before {b}")
-        overlap = set(self.used_periods) & set(self.accumulated_periods)
-        if overlap:
-            raise ValueError(f"used and accumulated periods overlap: {sorted(overlap)}")
-        if self.accumulated_periods:
-            if not self.used_periods:
+        if acc:
+            overlap = set(used) & set(acc)
+            if overlap:
+                raise ValueError(f"used and accumulated periods overlap: {sorted(overlap)}")
+            if not used:
                 raise ValueError("accumulated periods present with an empty window")
-            if self.used_periods[-1] >= self.accumulated_periods[0]:
-                raise ValueError(
-                    f"accumulated period {self.accumulated_periods[0]} does not follow "
-                    f"window end {self.used_periods[-1]}"
-                )
-        live = set(self.used_periods) | set(self.accumulated_periods)
-        if set(self.events_by_week) != live:
-            raise ValueError(f"events_by_week weeks {sorted(self.events_by_week)} are not "
-                             f"the used and accumulated weeks {sorted(live)}")
-        if self.profile is not None and not isinstance(self.profile, KdeProfile):
-            raise ValueError(f"profile has unexpected type {type(self.profile).__name__}")
-        for period, minutes in self.events_by_week.items():
+            if used[-1] >= acc[0]:
+                raise ValueError(f"accumulated period {acc[0]} does not follow "
+                                 f"window end {used[-1]}")
+        if events.keys() != {*used, *acc}:
+            raise ValueError(f"events_by_week weeks {sorted(events)} are not "
+                             f"the used and accumulated weeks {sorted({*used, *acc})}")
+        for period, minutes in events.items():
             if not minutes:
                 raise ValueError(f"week {period} holds no minutes")
             for m in minutes:
-                if not 0 <= m <= 1439:
-                    raise ValueError(f"minute {m} out of range in week {period}")
+                if type(m) is not int or not 0 <= m <= 1439:
+                    kind = "not an integer" if type(m) is not int else "out of range [0, 1439]"
+                    raise ValueError(f"minute {m!r} in week {period} is {kind}")
         for alert in self.alerts:
             if not isinstance(alert, str):
                 raise ValueError(f"alert id {alert!r} is not a string")
+        profile, counts = self.profile, self.profile_counts
+        if profile is not None and not isinstance(profile, KdeProfile):
+            raise ValueError(f"profile has unexpected type {type(profile).__name__}")
+        if not counts:
+            return
+        if profile is None or not counts.keys() <= set(used):
+            raise ValueError(f"profile counts of weeks {list(counts)} that are not used "
+                             f"weeks of a profile")
+        tail: list[int] = []
+        for period in used:
+            count, minutes = counts.get(period, 0), events[period]
+            if type(count) is not int or not 0 <= count <= len(minutes):
+                raise ValueError(f"profile count {count!r} of week {period} is not "
+                                 f"in [0, {len(minutes)}]")
+            tail += minutes[:count]
+        if tail and profile.sample[-len(tail):].tolist() != tail:
+            raise ValueError("profile counts do not read the tail of the profile's sample")
 
     def check_window(self, config: DetectorConfig) -> None:
         """Raise ValueError if weeks accumulate behind a window that
@@ -264,13 +283,16 @@ def add_event(attrs: MutableMapping[str, Any], period: int, minute: int,
         return
     accumulated = count_events(events, acc)
     if accumulated >= 2 and count_events(events, used[1:]) + accumulated >= config.k:
-        del events[used.pop(0)]
+        oldest = used.pop(0)
+        del events[oldest]
+        attrs["profile_counts"].pop(oldest, None)
         used += acc
         acc.clear()
 
 
 def refresh_profile(attrs: MutableMapping[str, Any], config: DetectorConfig) -> bool:
-    """Refit the density profile if the window manager requested it.
+    """Refit the density profile if the window manager requested it, and
+    record how many minutes it read of each used week.
 
     Returns True when a profile was computed.
     """
@@ -278,7 +300,8 @@ def refresh_profile(attrs: MutableMapping[str, Any], config: DetectorConfig) -> 
         return False
     attrs["user_kde"] = None
     events = attrs["events_by_week"]
-    sample = [m for p in attrs["used_periods"] for m in events[p]]
+    used = attrs["used_periods"]
+    sample = [m for p in used for m in events[p]]
     if not sample:
         raise AssertionError("profile refresh requested with no training data")
     if config.bandwidth_method == "fixed":
@@ -286,6 +309,7 @@ def refresh_profile(attrs: MutableMapping[str, Any], config: DetectorConfig) -> 
     else:
         bandwidth = select_bandwidth(sample)
     attrs["user_kde"] = fit_profile(sample, bandwidth, circular=config.circular)
+    attrs["profile_counts"] = {p: len(events[p]) for p in used}
     attrs["start_kde"] = False
     return True
 
@@ -344,11 +368,12 @@ def detector_spec() -> Interleave:
         left=training,
         right=alerting,
         attributes=(
-            AttributeDecl("events_by_week", "init_events_by_week"),
+            AttributeDecl("events_by_week", "init_week_map"),
             AttributeDecl("used_periods", "init_period_list"),
             AttributeDecl("accumulated_periods", "init_period_list"),
             AttributeDecl("start_kde", "init_false"),
             AttributeDecl("user_kde", "init_no_profile"),
+            AttributeDecl("profile_counts", "init_week_map"),
             AttributeDecl("alerts", "init_alert_list"),
         ),
     )
@@ -383,7 +408,7 @@ def make_registry(config: DetectorConfig, *,
             on_alert(alert)
 
     return {
-        "init_events_by_week": dict,
+        "init_week_map": dict,
         "init_period_list": list,
         "init_false": lambda: False,
         "init_no_profile": lambda: None,
@@ -479,9 +504,9 @@ class MonitorEngine:
         state.check_invariants()
         state.check_window(self.config)
         attrs = self._root.ensure_child(user_id)
-        attrs["events_by_week"] = {int(p): [int(m) for m in v]
-                                   for p, v in state.events_by_week.items()}
-        attrs["used_periods"] = [int(p) for p in state.used_periods]
-        attrs["accumulated_periods"] = [int(p) for p in state.accumulated_periods]
+        attrs["events_by_week"] = {p: list(v) for p, v in state.events_by_week.items()}
+        attrs["used_periods"] = list(state.used_periods)
+        attrs["accumulated_periods"] = list(state.accumulated_periods)
         attrs["user_kde"] = state.profile
+        attrs["profile_counts"] = dict(state.profile_counts)
         attrs["alerts"] = list(state.alerts)

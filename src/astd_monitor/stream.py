@@ -12,13 +12,13 @@ Malformed lines are counted and skipped; they never touch engine state.
 Snapshots serialize every user's window state into one versioned JSON
 document that writes each fact once: per user, the minutes of every used
 then every accumulated week in ascending order (``weeks``), how many of
-those weeks are used (``used``), the alert history, and the profile as its
-sample in fit order. Restore splits the weeks into the two lists and refits
-the profile with the refit's own bandwidth rule (the config's fixed value,
-or Silverman's recomputed from the sample), so the densities come back bit
-for bit (given the same numpy and libm builds). Restoring a snapshot and
-replaying the remaining events is therefore equivalent to an uninterrupted
-run.
+them are used (``used``), the alert history, and the profile as the minutes
+its refit read of weeks that have left the window since (``dropped``) and
+how many leading minutes it read of each used week (``counts``). Restore
+rebuilds the sample and refits it with the refit's own bandwidth rule (the
+config's fixed value, or Silverman's recomputed from the sample), so the
+densities come back bit for bit (given the same numpy and libm builds), and
+resuming from a snapshot is equivalent to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .detector import (
     EntityState,
     MonitorEngine,
 )
-from .kde import GRID_MINUTES, KdeProfile, fit_profile
+from .kde import KdeProfile, fit_profile
 
-STATE_SCHEMA = "astd-monitor/state/3"
+STATE_SCHEMA = "astd-monitor/state/4"
 
 
 class RestoreError(ValueError):
@@ -190,15 +190,19 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
 # State snapshots
 # --------------------------------------------------------------------------
 
-def _state_to_json(state: EntityState) -> dict[str, Any]:
-    events = state.events_by_week
-    profile = state.profile
+def _user_to_json(attrs: Mapping[str, Any]) -> dict[str, Any]:
+    if attrs["start_kde"]:
+        raise ValueError("cannot dump a state mid-step (start_kde set)")
+    events, used, profile = attrs["events_by_week"], attrs["used_periods"], attrs["user_kde"]
+    if profile is not None:
+        counts = [attrs["profile_counts"].get(p, 0) for p in used]
+        sample = profile.sample
+        profile = {"dropped": sample[:sample.size - sum(counts)].tolist(), "counts": counts}
     return {
-        "weeks": {str(p): list(events[p])
-                  for p in state.used_periods + state.accumulated_periods},
-        "used": len(state.used_periods),
-        "alerts": list(state.alerts),
-        "profile": None if profile is None else profile.sample.tolist(),
+        "weeks": {str(p): list(events[p]) for p in used + attrs["accumulated_periods"]},
+        "used": len(used),
+        "alerts": list(attrs["alerts"]),
+        "profile": profile,
     }
 
 
@@ -210,11 +214,11 @@ def dump_state(engine: MonitorEngine | Sequence[MonitorEngine]) -> dict[str, Any
         if len(engines) != 1:
             raise ValueError(f"dump_state needs one engine, got {len(engines)}")
         engine = engines[0]
-    users = engine.export_users()
+    users = engine.attributes()
     return {
         "schema": STATE_SCHEMA,
         "config": engine.config.to_dict(),
-        "users": {u: _state_to_json(users[u]) for u in sorted(users)},
+        "users": {u: _user_to_json(users[u]) for u in sorted(users)},
     }
 
 
@@ -228,27 +232,44 @@ def _require(mapping: Mapping[str, Any], key: str, kind: type, where: str) -> An
     return value
 
 
-def _all_ints(values: list[Any]) -> bool:
-    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+def _is_minute_list(values: list[Any]) -> bool:
+    """Whether every value is an int (not a bool) minute of the day."""
+    for m in values:
+        if type(m) is not int or not 0 <= m <= 1439:
+            return False
+    return True
 
 
-def _profile_from_json(sample: Any, where: str, config: DetectorConfig) -> KdeProfile | None:
-    if sample is None:
-        return None
-    if not isinstance(sample, list):
-        raise RestoreError(f"{where}: expected a list of integers or null")
+def _profile_from_json(data: Any, where: str, used: dict[int, list[int]],
+                       config: DetectorConfig) -> tuple[KdeProfile | None, dict[int, int]]:
+    """The profile refitted on ``dropped`` then the counted prefix of each
+    week in ``used``, and the nonzero counts by week."""
+    if data is None:
+        return None, {}
+    if not isinstance(data, dict) or set(data) != {"dropped", "counts"}:
+        raise RestoreError(f"{where}: expected null or an object with exactly the keys "
+                           f"'dropped' and 'counts'")
+    dropped, counts = data["dropped"], data["counts"]
+    if not isinstance(dropped, list) or not _is_minute_list(dropped):
+        raise RestoreError(f"{where}.dropped: expected a list of minutes in [0, 1439]")
+    if not isinstance(counts, list) or len(counts) != len(used):
+        raise RestoreError(f"{where}.counts: expected a list of {len(used)} counts, "
+                           f"one per used week")
+    sample = list(dropped)
+    for i, (count, minutes) in enumerate(zip(counts, used.values())):
+        if type(count) is not int or not 0 <= count <= len(minutes):
+            raise RestoreError(f"{where}.counts[{i}]: expected an integer in "
+                               f"[0, {len(minutes)}], got {count!r}")
+        sample += minutes[:count]
     if not sample:
-        raise RestoreError(f"{where}: empty")
-    if not _all_ints(sample):
-        raise RestoreError(f"{where}: expected a list of integers")
-    if min(sample) < 0 or max(sample) >= GRID_MINUTES:
-        raise RestoreError(f"{where}: minutes must lie in [0, {GRID_MINUTES - 1}]")
+        raise RestoreError(f"{where}: empty sample")
     # The refit's own bandwidth rule and fit on the refit's own sample:
     # bit-identical densities. Called through kde's names, not detector's,
     # which bench/tracer.py wraps to count the run's own refits.
     bandwidth = (float(config.bandwidth_value) if config.bandwidth_method == "fixed"
                  else None)
-    return fit_profile(sample, bandwidth, circular=config.circular)
+    return (fit_profile(sample, bandwidth, circular=config.circular),
+            {p: c for p, c in zip(used, counts) if c})
 
 
 _USER_KEYS = ("weeks", "used", "alerts", "profile")
@@ -269,9 +290,10 @@ def _state_from_json(data: Any, where: str, config: DetectorConfig) -> EntitySta
             period = None
         if str(period) != raw_period:  # also refuses "2022_25", which re-dumps as "202225"
             raise RestoreError(f"{where}.weeks: bad period key {raw_period!r}")
-        if not isinstance(minutes, list) or not _all_ints(minutes):
-            raise RestoreError(f"{where}.weeks[{raw_period}]: expected a list of integers")
-        weeks[period] = list(minutes)
+        if not isinstance(minutes, list) or not _is_minute_list(minutes):
+            raise RestoreError(f"{where}.weeks[{raw_period}]: expected a list of "
+                               f"minutes in [0, 1439]")
+        weeks[period] = minutes
     used = _require(data, "used", int, where)
     if isinstance(used, bool) or not 0 < used <= len(weeks):
         raise RestoreError(f"{where}.used: expected an integer in [1, {len(weeks)}], "
@@ -282,12 +304,15 @@ def _state_from_json(data: Any, where: str, config: DetectorConfig) -> EntitySta
     if "profile" not in data:  # null is "no profile"; a lost key must not read as one
         raise RestoreError(f"{where}: missing key 'profile'")
     periods = list(weeks)  # check_invariants checks that they ascend
+    profile, counts = _profile_from_json(data["profile"], f"{where}.profile",
+                                         {p: weeks[p] for p in periods[:used]}, config)
     return EntityState(
         events_by_week=weeks,
         used_periods=periods[:used],
         accumulated_periods=periods[used:],
-        profile=_profile_from_json(data["profile"], f"{where}.profile", config),
+        profile=profile,
         alerts=list(alerts),
+        profile_counts=counts,
     )
 
 

@@ -36,6 +36,7 @@ def fresh_attrs():
         "accumulated_periods": [],
         "start_kde": False,
         "user_kde": None,
+        "profile_counts": {},
         "alerts": [],
     }
 
@@ -323,6 +324,16 @@ def test_refresh_profile_matches_direct_fit():
     assert np.max(np.abs(attrs["user_kde"].densities - naive_kde(sample, h))) <= 1e-12
 
 
+def test_refit_records_its_prefixes_and_an_advance_drops_the_oldest():
+    attrs = fresh_attrs()
+    feed(attrs, [t for _, t in TRACE_EVENTS[:12]])
+    assert attrs["profile_counts"] == {202225: 3, 202227: 3, 202228: 4}
+    feed(attrs, [t for _, t in TRACE_EVENTS[12:]])
+    # e14 (week 202226) advanced the window past 202225 and is counted 0.
+    assert attrs["used_periods"] == [202226, 202227, 202228, 202229]
+    assert attrs["profile_counts"] == {202227: 3, 202228: 4}
+
+
 def test_refresh_honors_fixed_bandwidth():
     config = DetectorConfig(n=3, k=10, threshold=0.001,
                             bandwidth_method="fixed", bandwidth_value=2.5)
@@ -530,7 +541,7 @@ def test_each_user_is_one_dict_of_the_declared_attributes():
     assert engine.attributes() is engine.attributes()  # the interleave's own map
     # The single-state automata record no control state in the dict.
     assert set(attrs) == {"events_by_week", "used_periods", "accumulated_periods",
-                          "start_kde", "user_kde", "alerts"}
+                          "start_kde", "user_kde", "profile_counts", "alerts"}
     assert EntityState.capture(attrs) == engine.entity_state(TRACE_USER)
 
 
@@ -569,10 +580,51 @@ def test_invariants_accept_a_valid_state():
     (dict(alerts=[42]), "not a string"),
     (dict(events_by_week={202225: [540], 202221: [600]}), "not the used and accumulated weeks"),
     (dict(events_by_week={202225: []}), "holds no minutes"),
+    (dict(events_by_week={202225: [540, 3.5]}), "minute 3.5 in week 202225 is not an integer"),
+    (dict(events_by_week={202225: [540, True]}), "minute True in week 202225 is not an integer"),
+    (dict(events_by_week={202225: [540, -1]}), "minute -1 in week 202225 is out of range"),
+    (dict(used_periods=[202225.0]), "used_periods: 202225.0 is not an integer"),
+    (dict(used_periods=[], accumulated_periods=[True]),
+     "accumulated_periods: True is not an integer"),
+    (dict(profile_counts={202225: 1}), "profile counts of weeks \\[202225\\] that are not "
+     "used weeks of a profile"),
 ])
 def test_invariants_reject_corrupt_states(overrides, message):
     with pytest.raises(ValueError, match=message):
         valid_state(**overrides).check_invariants()
+
+
+# Week 202225 holds [540, 600, 660]; the profile's sample is [30, 540, 600].
+@pytest.mark.parametrize("counts,message", [
+    ({202226: 1}, "profile counts of weeks \\[202226\\] that are not used weeks"),
+    ({202225: -1}, "profile count -1 of week 202225 is not in \\[0, 3\\]"),
+    ({202225: 4}, "profile count 4 of week 202225 is not in \\[0, 3\\]"),
+    ({202225: True}, "profile count True of week 202225"),
+    ({202225: 1}, "do not read the tail of the profile's sample"),
+    ({202225: 3}, "do not read the tail of the profile's sample"),
+])
+def test_invariants_reject_profile_counts_that_do_not_end_the_sample(counts, message):
+    state = valid_state(events_by_week={202225: [540, 600, 660]},
+                        profile=fit_profile([30, 540, 600], 5.0), profile_counts=counts)
+    with pytest.raises(ValueError, match=message):
+        state.check_invariants()
+
+
+def test_invariants_accept_profile_counts_that_end_the_sample():
+    for counts in ({}, {202225: 0}, {202225: 2}):
+        valid_state(events_by_week={202225: [540, 600, 660]},
+                    profile=fit_profile([30, 540, 600], 5.0),
+                    profile_counts=counts).check_invariants()
+
+
+def test_adopt_user_refuses_what_it_used_to_convert():
+    engine = MonitorEngine(CONFIG)
+    with pytest.raises(ValueError, match="minute 3.5 in week 202225 is not an integer"):
+        engine.adopt_user("u", valid_state(events_by_week={202225: [3.5, True]}))
+    with pytest.raises(ValueError, match="used_periods: 202225.0 is not an integer"):
+        engine.adopt_user("u", valid_state(events_by_week={202225: [3]},
+                                           used_periods=[202225.0]))
+    assert engine.users_seen == 0
 
 
 def test_invariants_see_cross_year_ordering_correctly():

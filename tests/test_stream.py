@@ -199,7 +199,7 @@ def test_alert_json_has_exactly_the_record_fields():
 
 def test_dump_fresh_engine_has_zero_users():
     doc = dump_state(MonitorEngine(CONFIG))
-    assert doc["schema"] == "astd-monitor/state/3"
+    assert doc["schema"] == "astd-monitor/state/4"
     assert doc["users"] == {}
 
 
@@ -249,26 +249,67 @@ def _fixed_bandwidth(value):
     return lambda d: d["config"].update(bandwidth_method="fixed", bandwidth_value=value)
 
 
-# The reference trace ends with weeks 202226..202229, all of them used.
+def _profile(d, **fields):
+    _user(d)["profile"].update(fields)
+
+
+def _set_count(index, value):
+    return lambda d: _user(d)["profile"]["counts"].__setitem__(index, value)
+
+
+PROFILE_KEYS = ("profile: expected null or an object with exactly the keys 'dropped' "
+                "and 'counts'")
+
+
+# The reference trace ends with weeks 202226..202229, all of them used, and a
+# profile that read the three minutes of the week 202225 that left the window
+# since, then 3 of 202227's minutes and 4 of 202228's: counts [0, 3, 4, 0].
+# A mutation that changes the weeks drops the profile, whose counts would
+# otherwise be refused first.
 @pytest.mark.parametrize("mutate,location", [
     (lambda d: d.update(schema="other/2"), "schema"),
     (lambda d: d.update(config={"n": 0, "k": 1, "threshold": 1.0}), "config"),
     (lambda d: d["users"].update(bad="not an object"), "users\\['bad'\\]"),
-    # The state/2 keys are unknown to a state/3 user object.
+    # The state/2 keys are unknown to a state/4 user object.
     (lambda d: _user(d).update(used_periods=[202226]), "used_periods"),
     (lambda d: _user(d).update(start_kde=False), "start_kde"),
     (lambda d: _user(d)["weeks"].update({"xyz": [1]}), "bad period key"),
-    (lambda d: _reorder_weeks(d, ["202228", "202226", "202227", "202229"]), "ascending"),
-    pytest.param(lambda d: _user(d).update(profile=[]), "profile: empty",
-                 id="sample-empty"),
-    pytest.param(lambda d: _user(d).update(profile=[600, "x"]), "profile", id="sample-string"),
-    pytest.param(lambda d: _user(d).update(profile=[600, 1440]), "profile", id="sample-1440"),
-    pytest.param(lambda d: _user(d).update(profile=[-1, 600]), "profile",
+    (lambda d: (_reorder_weeks(d, ["202228", "202226", "202227", "202229"]),
+                _user(d).update(profile=None)), "ascending"),
+    pytest.param(lambda d: _profile(d, dropped=[], counts=[0, 0, 0, 0]),
+                 "profile: empty sample", id="sample-empty"),
+    pytest.param(lambda d: _profile(d, dropped=[600, "x"]), "profile.dropped",
+                 id="sample-string"),
+    pytest.param(lambda d: _profile(d, dropped=[600, 1440]), "profile.dropped",
+                 id="sample-1440"),
+    pytest.param(lambda d: _profile(d, dropped=[-1, 600]), "profile.dropped",
                  id="sample-negative"),
-    pytest.param(lambda d: _user(d).update(profile=[600, True]), "profile", id="sample-bool"),
-    # A state/2 profile object, which held the sample under a key.
+    pytest.param(lambda d: _profile(d, dropped=[600, True]), "profile.dropped",
+                 id="sample-bool"),
     pytest.param(lambda d: _user(d).update(profile={"bandwidth": 5.0}),
-                 "profile: expected a list of integers or null", id="sample-missing"),
+                 PROFILE_KEYS, id="sample-missing"),
+    pytest.param(lambda d: _profile(d, bandwidth=5.0), PROFILE_KEYS,
+                 id="profile-unknown-key"),
+    # A state/3 profile, the sample itself.
+    pytest.param(lambda d: _user(d).update(profile=[540, 570, 600]), PROFILE_KEYS,
+                 id="profile-a-sample"),
+    pytest.param(lambda d: _user(d)["profile"].pop("counts"), PROFILE_KEYS,
+                 id="profile-counts-missing"),
+    pytest.param(lambda d: _profile(d, dropped={}), "profile.dropped: expected a list",
+                 id="dropped-not-a-list"),
+    pytest.param(lambda d: _profile(d, counts=[0, 3, 4]),
+                 "profile.counts: expected a list of 4 counts, one per used week",
+                 id="counts-too-short"),
+    pytest.param(lambda d: _profile(d, counts=[0, 3, 4, 0, 0]),
+                 "profile.counts: expected a list of 4 counts", id="counts-too-long"),
+    pytest.param(lambda d: _profile(d, counts=None), "profile.counts: expected a list",
+                 id="counts-null"),
+    pytest.param(_set_count(1, -1), "profile.counts\\[1\\]: expected an integer in "
+                 "\\[0, 3\\], got -1", id="counts-negative"),
+    pytest.param(_set_count(2, 5), "profile.counts\\[2\\]: expected an integer in "
+                 "\\[0, 4\\], got 5", id="counts-past-the-week"),
+    pytest.param(_set_count(0, True), "profile.counts\\[0\\]", id="counts-bool"),
+    pytest.param(_set_count(1, 3.0), "profile.counts\\[1\\]", id="counts-float"),
     # The bandwidth is the config's, or recomputed: no snapshot field holds it.
     pytest.param(_fixed_bandwidth(0.0), "config: fixed bandwidth", id="bandwidth-zero"),
     pytest.param(_fixed_bandwidth(-2.5), "config: fixed bandwidth", id="bandwidth-negative"),
@@ -283,9 +324,10 @@ def _fixed_bandwidth(value):
                  id="used_periods-bool"),
     pytest.param(lambda d: _user(d)["weeks"].update({"true": [1]}),
                  "bad period key 'true'", id="accumulated_periods-bool"),
-    pytest.param(lambda d: _user(d).update(weeks={"202299": [600]}, used=1),
+    pytest.param(lambda d: _user(d).update(weeks={"202299": [600]}, used=1, profile=None),
                  "used_periods: 202299 is not an ISO week", id="used-week-99"),
-    pytest.param(lambda d: _user(d).update(weeks={"202226": [600], "202299": [600]}, used=1),
+    pytest.param(lambda d: _user(d).update(weeks={"202226": [600], "202299": [600]}, used=1,
+                                           profile=None),
                  "accumulated_periods: 202299 is not an ISO week", id="accumulated-week-99"),
     pytest.param(lambda d: _user(d)["weeks"].update({"202153": [1]}),
                  "accumulated_periods: 202153 is not an ISO week", id="events-week-53"),
@@ -307,11 +349,13 @@ def _fixed_bandwidth(value):
     pytest.param(lambda d: _user(d)["weeks"].update({"202225": [600]}),
                  "accumulated period 202225 does not follow", id="weeks-out-of-order"),
     # Accumulated weeks behind a window that add_event would still fill.
-    pytest.param(lambda d: _user(d).update(weeks={"202225": [540], "202229": [600]}, used=1),
+    pytest.param(lambda d: _user(d).update(weeks={"202225": [540], "202229": [600]}, used=1,
+                                           profile=None),
                  "users\\['u1'\\]: accumulated weeks behind a window short of n = 3 weeks "
                  "or k = 10 events \\(weeks: 1, events: 1\\)", id="accumulated-before-n-weeks"),
     pytest.param(lambda d: _user(d).update(weeks={"202225": [540], "202226": [540],
-                                                  "202227": [540], "202229": [600]}, used=3),
+                                                  "202227": [540], "202229": [600]}, used=3,
+                                           profile=None),
                  "users\\['u1'\\]: accumulated weeks behind a window short of n = 3 weeks "
                  "or k = 10 events \\(weeks: 3, events: 3\\)", id="accumulated-before-k-events"),
 ])
@@ -331,7 +375,7 @@ def test_restore_rejects_a_state_1_snapshot_naming_both_schemas():
         restore_state(doc)
     message = str(info.value)
     assert "'astd-monitor/state/1'" in message
-    assert "'astd-monitor/state/3'" in message
+    assert "'astd-monitor/state/4'" in message
     assert "regenerate the snapshot" in message
 
 
@@ -345,15 +389,32 @@ def test_restore_rejects_a_state_2_snapshot_naming_both_schemas():
         restore_state(json.dumps(doc))
     message = str(info.value)
     assert "'astd-monitor/state/2'" in message
+    assert "'astd-monitor/state/4'" in message
+    assert "regenerate the snapshot" in message
+
+
+def test_restore_rejects_a_state_3_snapshot_naming_both_schemas():
+    # state/3 wrote the profile as its whole sample.
+    doc = {"schema": "astd-monitor/state/3", "config": CONFIG.to_dict(),
+           "users": {TRACE_USER: {
+               "weeks": {"202225": [540]}, "used": 1, "alerts": [], "profile": [540]}}}
+    with pytest.raises(RestoreError) as info:
+        restore_state(json.dumps(doc))
+    message = str(info.value)
     assert "'astd-monitor/state/3'" in message
+    assert "'astd-monitor/state/4'" in message
     assert "regenerate the snapshot" in message
 
 
 def test_snapshot_profile_holds_no_density_grid():
     _, engines = run_monitor(trace_lines(), CONFIG, None)
-    profile = dump_state(engines[0])["users"][TRACE_USER]["profile"]
-    state = engines[0].entity_state(TRACE_USER)
-    assert profile == state.profile.sample.tolist()
+    doc = dump_state(engines[0])["users"][TRACE_USER]
+    profile = doc["profile"]
+    assert set(profile) == {"dropped", "counts"}
+    weeks = list(doc["weeks"].values())[:doc["used"]]
+    rebuilt = profile["dropped"] + [m for week, count in zip(weeks, profile["counts"])
+                                    for m in week[:count]]
+    assert rebuilt == engines[0].entity_state(TRACE_USER).profile.sample.tolist()
 
 
 def test_snapshot_user_holds_four_keys_each_fact_once():
@@ -364,11 +425,47 @@ def test_snapshot_user_holds_four_keys_each_fact_once():
                   "202228": [545, 590, 610, 560], "202229": [570, 180]},
         "used": 3,
         "alerts": ["e13"],
-        "profile": [540, 570, 600, 555, 585, 615, 545, 590, 610, 560],
+        "profile": {"dropped": [], "counts": [3, 3, 4]},
     }
     state = restore_state(json.dumps(dump_state(engines[0]))).entity_state(TRACE_USER)
     assert (state.used_periods, state.accumulated_periods) == \
         ([202225, 202227, 202228], [202229])
+    assert state.profile.sample.tolist() == [540, 570, 600, 555, 585, 615, 545, 590, 610, 560]
+    assert state.profile_counts == {202225: 3, 202227: 3, 202228: 4}
+
+
+def test_a_refit_week_that_returns_as_a_late_head_counts_zero():
+    # The refit at e12 read weeks 202225, 202227 and 202228; e14's advance
+    # drops 202225, and e15 brings it back as the window's new head, with the
+    # same minute as its first one before.
+    events = TRACE_EVENTS + (("e15", "2022-06-21T09:00:00Z"), ("e16", "2022-07-25T09:00:00Z"),
+                             ("e17", "2022-07-26T01:00:00Z"), ("e18", "2022-07-27T09:40:00Z"))
+    lines = trace_lines(events)
+    straight = []
+    _, engines = run_monitor(lines, CONFIG, straight.append)
+
+    _, head = run_monitor(lines[:15], CONFIG, None)
+    doc = dump_state(head)
+    user = doc["users"][TRACE_USER]
+    assert user["weeks"]["202225"] == [540]
+    assert user["profile"] == {"dropped": [540, 570, 600], "counts": [0, 0, 3, 4, 0]}
+    resumed = []
+    restored = restore_state(json.dumps(doc))
+    assert restored.entity_state(TRACE_USER) == head[0].entity_state(TRACE_USER)
+    _, tail = run_monitor(lines[15:], restored.config, resumed.append,
+                          initial_users=restored.export_users())
+    # e16 refits and e17 alerts against that profile.
+    assert [a.event_id for a in straight] == ["e13", "e17"]
+    assert alert_bytes(resumed) == alert_bytes(straight[1:])
+    assert json.dumps(dump_state(tail)) == json.dumps(dump_state(engines))
+
+
+def test_dump_refuses_a_mid_step_dict():
+    engine = MonitorEngine(CONFIG)
+    engine.process("e1", TRACE_USER, *parse_timestamp("2022-06-22T09:00:00Z"))
+    engine.attributes()[TRACE_USER]["start_kde"] = True
+    with pytest.raises(ValueError, match="mid-step"):
+        dump_state(engine)
 
 
 @settings(max_examples=60, deadline=None)
@@ -486,7 +583,24 @@ def test_any_stream_cut_anywhere_matches_the_interpreter_and_an_unbroken_run(cas
     _, head = run_monitor(lines[:cut], config, resumed.append)
     for state in head[0].export_users().values():
         state.check_invariants()
-    restored = restore_state(json.dumps(dump_state(head)))
+    doc = dump_state(head)
+    restored = restore_state(json.dumps(doc))
+    # The restored profile is the window oracle's last fitted sample.
+    head_oracles = {}
+    for event_id, user, ts in events:
+        if int(event_id[1:]) < cut:  # the event of line i has the id "e<i>"
+            head_oracles.setdefault(user, WindowOracle(config.n, config.k,
+                                                       config.max_gap_weeks)).feed(ts)
+    assert set(head_oracles) == set(doc["users"])
+    for user, oracle in head_oracles.items():
+        profile = restored.entity_state(user).profile
+        written = doc["users"][user]["profile"]
+        if not oracle.profile_samples:
+            assert profile is None and written is None
+            continue
+        sample = oracle.profile_samples[-1]
+        assert profile.sample.tolist() == sample
+        assert len(written["dropped"]) + sum(written["counts"]) == len(sample)
     _, tail = run_monitor(lines[cut:], restored.config, resumed.append,
                           initial_users=restored.export_users())
     assert alert_bytes(resumed) == alert_bytes(straight)
