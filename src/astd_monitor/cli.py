@@ -7,6 +7,7 @@ failed trace checkpoint), 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -23,45 +24,49 @@ EXIT_CONFIG = 2
 
 UNIFORM_DENSITY = 1.0 / 1440.0
 
-# config-file key -> (dataclass field, parser)
 _BOOL_WORDS = {"true": True, "false": False}
 
 
-def _parse_bool(text: str) -> bool:
+def boolean(text: str) -> bool:
+    """``true`` or ``false`` in any case; argparse names this parser in its
+    errors (``invalid boolean value: 'maybe'``)."""
     try:
         return _BOOL_WORDS[text.lower()]
     except KeyError:
         raise ValueError(f"expected true or false, got {text!r}") from None
 
 
+# config-file key -> (dataclass field, parser, help); each key is also the
+# ``monitor run`` override flag "--" + field.replace("_", "-").
 _CONFIG_KEYS = {
-    "n": ("n", int),
-    "k": ("k", int),
-    "threshold": ("threshold", float),
-    "max_gap_weeks": ("max_gap_weeks", int),
-    "bandwidth.method": ("bandwidth_method", str),
-    "bandwidth.value": ("bandwidth_value", float),
-    "circular": ("circular", _parse_bool),
+    "n": ("n", int, "minimum window weeks"),
+    "k": ("k", int, "minimum window events"),
+    "threshold": ("threshold", float, "alert density threshold"),
+    "max_gap_weeks": ("max_gap_weeks", int, "stale-week rejection distance"),
+    "bandwidth.method": ("bandwidth_method", str,
+                         "bandwidth selection method: silverman or fixed"),
+    "bandwidth.value": ("bandwidth_value", float, "fixed bandwidth in minutes"),
+    "circular": ("circular", boolean, "wrap minute distances around midnight: true or false"),
 }
 
 
 def parse_config_text(text: str) -> dict[str, Any]:
-    """Parse the flat ``key = value`` config format into dataclass fields."""
+    """Parse the flat ``key = value`` config format into dataclass fields.
+    A ``#`` starts a comment, on its own line or after a value."""
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
-        value = value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        field, parse = _CONFIG_KEYS[key]
+        field, parse, _ = _CONFIG_KEYS[key]
         try:
-            values[field] = parse(value)
+            values[field] = parse(value.strip())
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -80,15 +85,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> DetectorConfig:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, Any]:
-    overrides: dict[str, Any] = {}
-    for field in ("n", "k", "threshold", "max_gap_weeks",
-                  "bandwidth_method", "bandwidth_value"):
-        value = getattr(args, field)
-        if value is not None:
-            overrides[field] = value
-    if args.circular is not None:
-        overrides["circular"] = _parse_bool(args.circular)
-    return overrides
+    return {field: value for field, _, _ in _CONFIG_KEYS.values()
+            if (value := getattr(args, field)) is not None}
 
 
 def _warn_threshold(config: DetectorConfig) -> None:
@@ -117,19 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--state-in", default=None, help="resume from this snapshot")
     run.add_argument("--stats", action="store_true",
                      help="print run statistics as JSON to stderr")
-    run.add_argument("--n", type=int, default=None, help="override: minimum window weeks")
-    run.add_argument("--k", type=int, default=None, help="override: minimum window events")
-    run.add_argument("--threshold", type=float, default=None,
-                     help="override: alert density threshold")
-    run.add_argument("--max-gap-weeks", dest="max_gap_weeks", type=int, default=None,
-                     help="override: stale-week rejection distance")
-    run.add_argument("--bandwidth-method", dest="bandwidth_method",
-                     choices=("silverman", "fixed"), default=None,
-                     help="override: bandwidth selection method")
-    run.add_argument("--bandwidth-value", dest="bandwidth_value", type=float,
-                     default=None, help="override: fixed bandwidth in minutes")
-    run.add_argument("--circular", choices=("true", "false"), default=None,
-                     help="override: wrap minute distances around midnight")
+    for field, parse, what in _CONFIG_KEYS.values():
+        run.add_argument("--" + field.replace("_", "-"), type=parse, help="override: " + what)
 
     sub.add_parser("replay-trace",
                    help="replay the built-in reference trace and print checkpoints")
@@ -186,30 +173,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     _warn_threshold(config)
 
-    opened: list[TextIO] = []
-    borrowed: io.TextIOWrapper | None = None
-    try:
+    with contextlib.ExitStack() as files:
         if args.input == "-":
             # Strict UTF-8 whatever the locale, as a file is read. Detached,
             # not closed, at the end, so stdin itself stays open.
-            borrowed = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
-            source: TextIO = borrowed
+            source: TextIO = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            files.callback(source.detach)
         else:
             try:
-                source = open(args.input, "r", encoding="utf-8")
+                source = files.enter_context(open(args.input, "r", encoding="utf-8"))
             except OSError as exc:
                 print(f"error: cannot read input {args.input}: {exc}", file=sys.stderr)
                 return EXIT_RUNTIME
-            opened.append(source)
         if args.alerts == "-":
             alert_file: TextIO = sys.stdout
         else:
             try:
-                alert_file = open(args.alerts, "w", encoding="utf-8")
+                alert_file = files.enter_context(open(args.alerts, "w", encoding="utf-8"))
             except OSError as exc:
                 print(f"error: cannot write alerts to {args.alerts}: {exc}", file=sys.stderr)
                 return EXIT_RUNTIME
-            opened.append(alert_file)
 
         def emit(alert) -> None:
             try:
@@ -227,11 +210,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (UnicodeDecodeError, OSError) as exc:
             print(f"error: cannot read input {args.input}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-    finally:
-        for fh in opened:
-            fh.close()
-        if borrowed is not None:
-            borrowed.detach()
 
     if args.state_out is not None:
         try:

@@ -184,10 +184,12 @@ class EntityState:
             for period in periods:
                 if type(period) is not int:
                     raise ValueError(f"{name}: {period!r} is not an integer")
-                try:
-                    period_start(period)
-                except ValueError as exc:
-                    raise ValueError(f"{name}: {period} is not an ISO week: {exc}") from None
+                # Weeks 1-52 of ISO years 1-9999 always exist.
+                if not (100 <= period < 1_000_000 and 1 <= period % 100 <= 52):
+                    try:
+                        period_start(period)
+                    except ValueError as exc:
+                        raise ValueError(f"{name}: {period} is not an ISO week: {exc}") from None
             # Valid periods sort chronologically as plain ints.
             for a, b in zip(periods, periods[1:]):
                 if a >= b:

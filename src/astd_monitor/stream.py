@@ -162,7 +162,7 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
     started = time.perf_counter()
 
     for line in source:
-        if not line.strip():
+        if not line.strip(" \t\r\n"):  # JSON whitespace only
             continue
         stats.events_read += 1
         record = parse_record(line)

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .calendar_periods import parse_timestamp
-from .detector import DetectorConfig, MonitorEngine
+from .detector import DetectorConfig, EntityState, MonitorEngine
+from .kde import KdeProfile
 
 TRACE_USER = "u1"
 
@@ -53,6 +54,23 @@ EXPECTED_ALERTS = ("e13",)
 EXPECTED_FINAL_USED = [202226, 202227, 202228, 202229]
 EXPECTED_FINAL_COUNTS = {202226: 1, 202227: 3, 202228: 4, 202229: 2}
 
+# event index -> (checkpoint name, {label: expected value}); ``_facts``
+# computes every label, in the order the details list them.
+CHECKPOINTS: dict[int, tuple[str, dict[str, object]]] = {
+    3: ("C1 window starts", {"used_periods": [202225], "accumulated_periods": []}),
+    4: ("C2 stale week rejected", {"used_periods": [202225], "accumulated_periods": [],
+                                   "stale week not recorded": True}),
+    11: ("C3 window full", {"used_periods": [202225, 202227, 202228],
+                            "events per week": {202225: 3, 202227: 3, 202228: 4}}),
+    12: ("C4 first profile", {"accumulated_periods": [202229],
+                              "profile refits so far": 1, "profile sample count": 10}),
+    14: ("C5 window advances", {"used_periods": EXPECTED_FINAL_USED,
+                                "accumulated_periods": [],
+                                "events per week": EXPECTED_FINAL_COUNTS,
+                                "alerts": list(EXPECTED_ALERTS),
+                                "profile unchanged by the advance": True}),
+}
+
 
 @dataclass
 class CheckpointResult:
@@ -72,12 +90,21 @@ class TraceResult:
         return all(cp.passed for cp in self.checkpoints)
 
 
-def _compare(details: list[str], label: str, actual, expected) -> bool:
-    if actual == expected:
-        details.append(f"{label}: {actual!r} (ok)")
-        return True
-    details.append(f"{label}: expected {expected!r}, got {actual!r}")
-    return False
+def _facts(engine: MonitorEngine, state: EntityState, alerts: list[str],
+           last_profile: KdeProfile | None) -> dict[str, object]:
+    """The value of every checkpoint label after the current event;
+    ``last_profile`` is the profile at the previous checkpoint."""
+    return {
+        "used_periods": state.used_periods,
+        "accumulated_periods": state.accumulated_periods,
+        "stale week not recorded": 202221 not in state.events_by_week,
+        "events per week": {p: len(state.events_by_week[p]) for p in state.used_periods},
+        "profile refits so far": engine.profiles_computed,
+        "profile sample count": None if state.profile is None else state.profile.sample_count,
+        "alerts": alerts,
+        "profile unchanged by the advance":
+            last_profile is not None and state.profile == last_profile,
+    }
 
 
 def run_trace(config: DetectorConfig | None = None) -> TraceResult:
@@ -86,7 +113,7 @@ def run_trace(config: DetectorConfig | None = None) -> TraceResult:
     checkpoints: list[CheckpointResult] = []
     notes: list[str] = []
     alerts: list[str] = []
-    profile_at_c4 = None
+    last_profile = None
 
     for index, (event_id, creation) in enumerate(TRACE_EVENTS, start=1):
         alerts.extend(a.event_id for a in engine.process(event_id, TRACE_USER,
@@ -99,53 +126,20 @@ def run_trace(config: DetectorConfig | None = None) -> TraceResult:
                 ["start_kde still set at the step boundary"]))
             break
         state = engine.entity_state(TRACE_USER)
-
-        if index == 3:
-            details: list[str] = []
-            ok = _compare(details, "used_periods", state.used_periods, [202225])
-            ok &= _compare(details, "accumulated_periods", state.accumulated_periods, [])
-            checkpoints.append(CheckpointResult("C1 window starts", ok, details))
-        elif index == 4:
-            details = []
-            ok = _compare(details, "used_periods", state.used_periods, [202225])
-            ok &= _compare(details, "accumulated_periods", state.accumulated_periods, [])
-            ok &= _compare(details, "stale week not recorded",
-                           202221 not in state.events_by_week, True)
-            checkpoints.append(CheckpointResult("C2 stale week rejected", ok, details))
-        elif index == 11:
-            details = []
-            ok = _compare(details, "used_periods", state.used_periods,
-                          [202225, 202227, 202228])
-            counts = {p: len(state.events_by_week.get(p, [])) for p in state.used_periods}
-            ok &= _compare(details, "events per week", counts,
-                           {202225: 3, 202227: 3, 202228: 4})
-            checkpoints.append(CheckpointResult("C3 window full", ok, details))
-        elif index == 12:
-            details = []
-            ok = _compare(details, "accumulated_periods", state.accumulated_periods,
-                          [202229])
-            ok &= _compare(details, "profile refits so far", engine.profiles_computed, 1)
-            ok &= _compare(details, "profile sample count",
-                           None if state.profile is None else state.profile.sample_count,
-                           10)
-            checkpoints.append(CheckpointResult("C4 first profile", ok, details))
-            profile_at_c4 = state.profile
-        elif index == 13:
-            if state.used_periods == [202225, 202227, 202228] \
-                    and state.accumulated_periods == [202229]:
-                notes.append(DEFERRAL_NOTE)
-        elif index == 14:
-            details = []
-            ok = _compare(details, "used_periods", state.used_periods,
-                          EXPECTED_FINAL_USED)
-            ok &= _compare(details, "accumulated_periods", state.accumulated_periods, [])
-            counts = {p: len(state.events_by_week.get(p, [])) for p in state.used_periods}
-            ok &= _compare(details, "events per week", counts, EXPECTED_FINAL_COUNTS)
-            ok &= _compare(details, "alerts", alerts, list(EXPECTED_ALERTS))
-            same_profile = profile_at_c4 is not None and state.profile == profile_at_c4
-            ok &= _compare(details, "profile unchanged by the advance",
-                           same_profile, True)
-            checkpoints.append(CheckpointResult("C5 window advances", ok, details))
+        if index == 13 and state.used_periods == [202225, 202227, 202228] \
+                and state.accumulated_periods == [202229]:
+            notes.append(DEFERRAL_NOTE)
+        if index in CHECKPOINTS:
+            name, expected = CHECKPOINTS[index]
+            facts = _facts(engine, state, alerts, last_profile)
+            result = CheckpointResult(name, True)
+            for label, want in expected.items():
+                got = facts[label]
+                result.passed &= got == want
+                result.details.append(f"{label}: {got!r} (ok)" if got == want
+                                      else f"{label}: expected {want!r}, got {got!r}")
+            checkpoints.append(result)
+            last_profile = state.profile
 
     return TraceResult(checkpoints, notes, alerts)
 

@@ -13,7 +13,7 @@ import pytest
 import astd_monitor
 from astd_monitor import cli, detector
 from astd_monitor.cli import load_config, main, parse_config_text
-from astd_monitor.detector import ConfigError
+from astd_monitor.detector import ConfigError, DetectorConfig
 from astd_monitor.trace import TRACE_EVENTS, TRACE_USER, run_trace
 
 CONFIG_TEXT = """\
@@ -70,6 +70,20 @@ def test_parse_config_reports_bad_value():
 def test_parse_config_requires_key_value_shape():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("just some words\n")
+
+
+def test_the_readme_config_file_parses_to_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert block.startswith("# monitor.conf\n")
+    assert DetectorConfig.from_dict(parse_config_text(block)) == DetectorConfig()
+
+
+def test_circular_flag_takes_true_or_false_in_any_case():
+    for word, value in (("TRUE", True), ("False", False), ("true", True)):
+        args = cli._build_parser().parse_args(
+            ["run", "--input", "-", "--alerts", "-", "--circular", word])
+        assert args.circular is value
 
 
 def test_load_config_applies_flag_overrides(config_file):
@@ -151,6 +165,63 @@ def test_run_invalid_flag_override_exits_2(tmp_path, trace_input, config_file):
     code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
                     "--alerts", str(tmp_path / "a.ldjson"), "--k", "0"])
     assert code == 2
+
+
+def test_run_passes_every_override_flag_into_the_config(tmp_path, trace_input,
+                                                       config_file):
+    state = tmp_path / "state.json"
+    code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"), "--state-out", str(state),
+                    "--n", "4", "--k", "7", "--threshold", "0.0002",
+                    "--max-gap-weeks", "5", "--bandwidth-method", "fixed",
+                    "--bandwidth-value", "12.5", "--circular", "true"])
+    assert code == 0
+    assert json.loads(state.read_text())["config"] == {
+        "n": 4, "k": 7, "threshold": 0.0002, "max_gap_weeks": 5,
+        "bandwidth_method": "fixed", "bandwidth_value": 12.5, "circular": True}
+
+
+def test_run_bad_circular_flag_exits_2_naming_it(tmp_path, trace_input, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["run", "--input", str(trace_input),
+                 "--alerts", str(tmp_path / "a.ldjson"), "--circular", "maybe"])
+    assert exit_info.value.code == 2
+    assert "argument --circular: invalid boolean value: 'maybe'" in capsys.readouterr().err
+    assert not (tmp_path / "a.ldjson").exists()
+
+
+def test_run_bad_bandwidth_method_flag_exits_2(tmp_path, trace_input):
+    alerts = tmp_path / "a.ldjson"
+    try:
+        code = run_cli(["run", "--input", str(trace_input), "--alerts", str(alerts),
+                        "--bandwidth-method", "foo"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert not alerts.exists()
+
+
+def test_run_state_in_runs_under_the_snapshot_config_and_warns(tmp_path, config_file,
+                                                               capsys):
+    lines = [json.dumps({"Id": e, "CreationTime": t, "UserId": TRACE_USER}) + "\n"
+             for e, t in TRACE_EVENTS]
+    first = tmp_path / "first.ldjson"
+    first.write_text("".join(lines[:8]))
+    rest = tmp_path / "rest.ldjson"
+    rest.write_text("".join(lines[8:]))
+    state = tmp_path / "state.json"
+    assert run_cli(["run", "--input", str(first), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "first-alerts.ldjson"),
+                    "--state-out", str(state)]) == 0
+    capsys.readouterr()
+    resumed = tmp_path / "resumed.json"
+    assert run_cli(["run", "--input", str(rest), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"), "--state-in", str(state),
+                    "--state-out", str(resumed), "--k", "25"]) == 0
+    assert "requested configuration differs from the snapshot's" in capsys.readouterr().err
+    assert json.loads(resumed.read_text())["config"]["k"] == 10
+    assert [json.loads(line)["event_id"]
+            for line in (tmp_path / "a.ldjson").read_text().splitlines()] == ["e13"]
 
 
 def test_run_bad_workers_exits_2(tmp_path, trace_input, config_file, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from astd_monitor.calendar_periods import parse_timestamp
+from astd_monitor.calendar_periods import parse_timestamp, period_start
 from astd_monitor.detector import (
     AlertRecord,
     ConfigError,
@@ -625,6 +625,21 @@ def test_adopt_user_refuses_what_it_used_to_convert():
         engine.adopt_user("u", valid_state(events_by_week={202225: [3]},
                                            used_periods=[202225.0]))
     assert engine.users_seen == 0
+
+
+@pytest.mark.parametrize("year", [-1, 0, 1, 2020, 2026, 9999, 10000])
+def test_invariants_accept_a_week_exactly_when_the_calendar_does(year):
+    for week in range(100):
+        period = year * 100 + week
+        state = valid_state(events_by_week={period: [540]}, used_periods=[period])
+        try:
+            period_start(period)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                state.check_invariants()
+            assert str(refused.value) == f"used_periods: {period} is not an ISO week: {exc}"
+        else:
+            state.check_invariants()
 
 
 def test_invariants_see_cross_year_ordering_correctly():

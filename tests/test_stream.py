@@ -111,6 +111,13 @@ def test_blank_lines_are_skipped_not_counted():
     assert stats.events_malformed == 0
 
 
+@pytest.mark.parametrize("space", ["\xa0", "\u2028", "\x0b", "\x0c", "\x1c"])
+def test_a_line_of_non_json_whitespace_is_bad_json(space):
+    stats, _ = run_monitor([space + "\n", " \n"], CONFIG, None)
+    assert (stats.events_read, stats.events_malformed) == (1, 1)
+    assert stats.malformed_by_reason == {"bad JSON": 1}
+
+
 def test_malformed_lines_never_touch_engine_state():
     lines = ['busted\n', '{"Id":"x","UserId":"u9"}\n']
     stats, engines = run_monitor(lines, CONFIG, None)
