@@ -8,7 +8,9 @@ but differences between them are meaningless across year boundaries:
 
 Timestamps are ingested in the exact textual form ``YYYY-mm-ddTHH:MM:ssZ``
 (UTC only) and parsed once, straight into the ``(period, minute)`` pair the
-detector keys on; no :class:`datetime.datetime` is built per event.
+detector keys on; no :class:`datetime.datetime` is built per event. A text
+whose day was validated before is answered from tables (the cached days, every
+``HH:MM`` and every seconds field), and exactly: each key passed the full check.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ _TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", re.ASCII)
 DAY_CACHE_SIZE = 4096
 _week_of_day: dict[str, Period] = {}
 
+# Every ``HH:MM`` clock time to its minute of day, and every seconds field.
+_TWO_DIGITS = [f"{n:02d}" for n in range(60)]
+_MINUTE_OF_CLOCK = {f"{hh}:{mm}": 60 * h + m for h, hh in enumerate(_TWO_DIGITS[:24])
+                    for m, mm in enumerate(_TWO_DIGITS)}
+_SECONDS = frozenset(_TWO_DIGITS)
+
 
 class TimestampError(ValueError):
     """Raised for text that is not a valid UTC timestamp."""
@@ -43,6 +51,11 @@ def parse_timestamp(text: str) -> tuple[Period, MinuteOfDay]:
     second 60); any deviation raises :class:`TimestampError`. Seconds are
     validated, then truncated.
     """
+    if len(text) == 20 and text[10] == "T" and text[16] == ":" and text[19] == "Z":
+        period = _week_of_day.get(text[:10])
+        minute = _MINUTE_OF_CLOCK.get(text[11:16])
+        if period is not None and minute is not None and text[17:19] in _SECONDS:
+            return period, minute
     if _TIMESTAMP_RE.fullmatch(text) is None:
         raise TimestampError(f"invalid timestamp {text!r}, expected YYYY-mm-ddTHH:MM:ssZ")
     # Every field sits at a fixed offset: ``\d`` matches one code point.

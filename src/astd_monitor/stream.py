@@ -8,6 +8,9 @@ processing order: the window manager is built for out-of-order arrival, so
 no re-sorting happens here.
 
 Malformed lines are counted and skipped; they never touch engine state.
+Each line goes straight to the C scanner behind ``json.loads``, with the same
+whitespace rule on both sides of the value, so any line ``json.loads`` refuses
+(also one nested too deeply, or holding an int of over 4,300 digits) is bad JSON.
 
 Snapshots serialize every user's window state into one versioned JSON
 document that writes each fact once: per user, the minutes of every used
@@ -61,11 +64,18 @@ class MalformedRecord:
     reason: str
 
 
+# json.loads's own steps: one value after JSON whitespace, then only more of it.
+_scan_once = json.JSONDecoder().scan_once
+_skip_ws = json.decoder.WHITESPACE.match
+
+
 def parse_record(line: str) -> ParsedEvent | MalformedRecord:
     """Parse one input line; never raises."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
+        obj, end = _scan_once(line, _skip_ws(line, 0).end())
+    except (StopIteration, RecursionError, ValueError):  # ValueError: also a 4,300+ digit int
+        return MalformedRecord("bad JSON")
+    if _skip_ws(line, end).end() != len(line):
         return MalformedRecord("bad JSON")
     if not isinstance(obj, dict):
         return MalformedRecord("not a JSON object")
@@ -324,7 +334,7 @@ def restore_state(snapshot: Mapping[str, Any] | str) -> MonitorEngine:
     if isinstance(snapshot, str):
         try:
             snapshot = json.loads(snapshot)
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise RestoreError(f"invalid JSON: {exc}") from exc
     if not isinstance(snapshot, Mapping):
         raise RestoreError("snapshot: expected a JSON object")

@@ -9,10 +9,13 @@ just close values, because alert records carry the density's last digits; and
 package's own interpreter, as the engine does, but parses with the oracle's
 own ``period_of``/``minute_of`` and collects alerts from its own hook.
 ``datetime_timestamp`` keeps the package's former timestamp parser,
-which defines which strings are timestamps."""
+which defines which strings are timestamps. ``parse_timestamp_reference`` and
+``parse_record_reference`` keep the package's ingest before its fast paths
+(the regex path alone, and ``json.loads``), as the referee of those paths."""
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import statistics
@@ -149,6 +152,58 @@ def minute_of(ts: str) -> int:
 
 def week_serial(period: int) -> int:
     return date.fromisocalendar(period // 100, period % 100, 1).toordinal() // 7
+
+
+# --------------------------------------------------------------------------
+# Ingest oracles
+# --------------------------------------------------------------------------
+
+_ASCII_TIMESTAMP_RE = re.compile(_TIMESTAMP_RE.pattern, re.ASCII)
+
+
+def parse_timestamp_reference(text: str) -> tuple[int, int] | None:
+    """The package's timestamp parser with no tables and no day cache: the
+    ASCII regex, then the calendar and clock ranges. ``(period, minute)``,
+    or None for a text it rejects."""
+    if _ASCII_TIMESTAMP_RE.fullmatch(text) is None:
+        return None
+    try:
+        day = date(int(text[0:4]), int(text[5:7]), int(text[8:10]))
+    except ValueError:
+        return None
+    hour, minute, second = int(text[11:13]), int(text[14:16]), int(text[17:19])
+    if hour > 23 or minute > 59 or second > 59:
+        return None
+    iso_year, iso_week, _ = day.isocalendar()
+    return iso_year * 100 + iso_week, hour * 60 + minute
+
+
+def parse_record_reference(line: str):
+    """The package's line parser on ``json.loads`` and
+    ``parse_timestamp_reference``, with its reasons in its order."""
+    from astd_monitor.stream import MalformedRecord, ParsedEvent
+
+    try:
+        obj = json.loads(line)
+    except (RecursionError, ValueError):
+        return MalformedRecord("bad JSON")
+    if not isinstance(obj, dict):
+        return MalformedRecord("not a JSON object")
+    event_id = obj["Id"] if obj.get("Id") is not None else obj.get("ID")
+    user_id, creation = obj.get("UserId"), obj.get("CreationTime")
+    for reason, failed in (
+            ("missing Id", event_id is None),
+            ("bad Id", not isinstance(event_id, str) or event_id == ""),
+            ("missing CreationTime", creation is None),
+            ("missing UserId", user_id is None),
+            ("bad UserId", not isinstance(user_id, str) or user_id == ""),
+            ("bad timestamp", not isinstance(creation, str))):
+        if failed:
+            return MalformedRecord(reason)
+    parsed = parse_timestamp_reference(creation)
+    if parsed is None:
+        return MalformedRecord("bad timestamp")
+    return ParsedEvent(event_id, user_id, *parsed)
 
 
 class WindowOracle:

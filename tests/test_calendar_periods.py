@@ -17,7 +17,13 @@ from astd_monitor.calendar_periods import (
     week_distance,
 )
 
-from oracles import datetime_timestamp, minute_of, period_of, week_serial
+from oracles import (
+    datetime_timestamp,
+    minute_of,
+    parse_timestamp_reference,
+    period_of,
+    week_serial,
+)
 
 
 def ts(text):
@@ -129,6 +135,87 @@ def test_parse_timestamp_classifies_calendar_edges_like_datetime(text):
 @given(st.one_of(timestamp_like(), st.text(max_size=24)))
 def test_parse_timestamp_accepts_exactly_what_datetime_accepted(text):
     _assert_classified_like_datetime(text)
+
+
+def _assert_answered_as_the_regex_path(text):
+    expected = parse_timestamp_reference(text)
+    if expected is None:
+        with pytest.raises(TimestampError):
+            parse_timestamp(text)
+    else:
+        assert parse_timestamp(text) == expected
+
+
+# Each is one character or field away from the table path's shape, on a day
+# the cache holds.
+TABLE_PATH_EDGES = [
+    "2022-06-22T10:15:00Z",   # the table path itself
+    "2022-06-22t10:15:00Z",   # lower-case t
+    "2022-06-22T10:15:00z",   # lower-case z
+    "2022-06-22T10:15-00Z",   # wrong separator at index 16
+    "2022-06-22T10:15:00Z ",  # 21 characters
+    "2022-06-22T１０:１５:00Z",  # fullwidth clock
+    "2022-06-22T10:15:٠٠Z",   # Arabic-Indic seconds
+    "2022-06-22T24:00:00Z",   # hour 24
+    "2022-06-22T23:60:00Z",   # minute 60
+    "2022-06-22T23:59:60Z",   # second 60
+    "2022-02-30T10:15:00Z",   # 30 February
+]
+
+
+@pytest.mark.parametrize("text", TABLE_PATH_EDGES)
+def test_table_path_edges_answer_as_the_regex_path(monkeypatch, text):
+    monkeypatch.setattr(calendar_periods, "_week_of_day", {"2022-06-22": 202225})
+    _assert_answered_as_the_regex_path(text)
+
+
+def test_every_table_key_answers_as_the_regex_path(monkeypatch):
+    monkeypatch.setattr(calendar_periods, "_week_of_day", {"2022-06-22": 202225})
+    clocks, seconds = calendar_periods._MINUTE_OF_CLOCK, calendar_periods._SECONDS
+    assert (len(clocks), len(seconds)) == (1440, 60)
+    for clock in clocks:
+        for second in seconds:
+            text = f"2022-06-22T{clock}:{second}Z"
+            assert parse_timestamp(text) == parse_timestamp_reference(text)
+
+
+# Days for texts of the table path's shape: the referee seeds the day cache
+# with some of the valid ones, so cached and uncached days both occur.
+VALID_DAYS = ["2022-06-22", "2021-01-03", "2024-02-29"]
+SHAPED_DAYS = VALID_DAYS * 2 + ["2023-02-29", "2022-02-30", "2022-13-01"]
+_FLAWS = [None, "fullwidth", "arabic-indic", "lower t", "lower z", "separator 16"]
+
+
+@st.composite
+def table_shaped_timestamps(draw):
+    """``YYYY-mm-ddTHH:MM:ssZ`` on a few days, hours to 25 and minutes and
+    seconds to 61, with at most one flaw aimed at the table path's checks."""
+    text = "{}T{:02d}:{:02d}:{:02d}Z".format(
+        draw(st.sampled_from(SHAPED_DAYS)), draw(st.integers(0, 25)),
+        draw(st.integers(0, 61)), draw(st.integers(0, 61)))
+    flaw = draw(st.sampled_from(_FLAWS))
+    if flaw in ("fullwidth", "arabic-indic"):
+        start, stop = draw(st.sampled_from([(0, 20), (0, 10), (11, 13), (14, 16), (17, 19)]))
+        digits = draw(_SCRIPTS.filter(lambda d: d != "0123456789"))
+        text = (text[:start] + text[start:stop].translate(str.maketrans("0123456789", digits))
+                + text[stop:])
+    elif flaw == "lower t":
+        text = text[:10] + "t" + text[11:]
+    elif flaw == "lower z":
+        text = text[:19] + "z"
+    elif flaw == "separator 16":
+        text = text[:16] + draw(st.sampled_from("-.;_ ：")) + text[17:]
+    return text
+
+
+@given(text=st.one_of(table_shaped_timestamps(), timestamp_like(), st.text(max_size=24)),
+       seeded=st.sets(st.sampled_from(VALID_DAYS), min_size=1, max_size=2))
+def test_parse_timestamp_answers_as_the_regex_path(text, seeded):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calendar_periods, "_week_of_day",
+                      {day: parse_timestamp_reference(day + "T00:00:00Z")[0] for day in seeded})
+        _assert_answered_as_the_regex_path(text)
+        _assert_answered_as_the_regex_path(text)  # from the day the first may have cached
 
 
 def test_a_rejected_day_is_never_cached(monkeypatch):

@@ -369,6 +369,44 @@ def test_run_stats_count_malformed_lines_by_reason(tmp_path, config_file, capsys
     assert stats["malformed_by_reason"] == {"bad JSON": 2, "missing UserId": 1}
 
 
+# One valid event, and lines the JSON decoder refuses with RecursionError
+# (nested far beyond the recursion limit) and ValueError (an ignored field
+# holding an integer of more than 4,300 digits).
+GOOD_LINE = '{"Id":"e1","CreationTime":"2022-06-22T10:15:00Z","UserId":"u1"}'
+HOSTILE_TEXTS = {"deep": "[" * 100_000 + "]" * 100_000,
+                 "big-int": GOOD_LINE[:-1] + ',"Size":' + "9" * 5000 + "}"}
+
+
+def test_run_counts_lines_the_decoder_refuses_and_writes_the_state(tmp_path, config_file,
+                                                                   capsys):
+    path = tmp_path / "events.ldjson"
+    path.write_text(f"{HOSTILE_TEXTS['deep']}\n{GOOD_LINE}\n{HOSTILE_TEXTS['big-int']}\n"
+                    f"{GOOD_LINE.replace('e1', 'e2')}\n")
+    state = tmp_path / "state.json"
+    code = run_cli(["run", "--input", str(path), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"), "--stats",
+                    "--state-out", str(state)])
+    assert code == 0
+    stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert stats["malformed_by_reason"] == {"bad JSON": 2}
+    assert stats["events_processed"] == 2
+    assert json.loads(state.read_text())["users"]["u1"]["weeks"] == {"202225": [615, 615]}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_TEXTS))
+def test_run_state_in_the_decoder_refuses_exits_1(tmp_path, trace_input, config_file,
+                                                   capsys, name):
+    snapshot = tmp_path / "state.json"
+    snapshot.write_text(HOSTILE_TEXTS[name])
+    code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"),
+                    "--state-in", str(snapshot)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: bad state file {snapshot}: invalid JSON: " in err
+    assert "Traceback" not in err
+
+
 def test_run_alerts_to_stdout(trace_input, config_file, capsys):
     code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
                     "--alerts", "-"])

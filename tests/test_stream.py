@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from astd_monitor import calendar_periods
 from astd_monitor.calendar_periods import parse_timestamp
 from astd_monitor.detector import ConfigError, DetectorConfig, EntityState, MonitorEngine
 from astd_monitor.kde import fit_profile, select_bandwidth
@@ -27,7 +28,12 @@ from astd_monitor.stream import (
 )
 from astd_monitor.trace import TRACE_EVENTS, TRACE_USER
 
-from oracles import InterpretedMonitor, WindowOracle
+from oracles import (
+    InterpretedMonitor,
+    WindowOracle,
+    parse_record_reference,
+    parse_timestamp_reference,
+)
 
 CONFIG = DetectorConfig(n=3, k=10, threshold=0.001)
 
@@ -79,6 +85,72 @@ def test_extra_fields_are_ignored():
     record = parse_record('{"Id":"e1","CreationTime":"2022-06-22T10:15:00Z",'
                           '"UserId":"u1","Operation":"FileAccessed","Workload":"x"}')
     assert isinstance(record, ParsedEvent)
+
+
+# Lines the JSON decoder refuses with RecursionError and ValueError rather
+# than JSONDecodeError. The recursion limit depends on the stack depth the
+# decoder starts at, so the nesting is far beyond it, never near it.
+GOOD_LINE = '{"Id":"e1","CreationTime":"2022-06-22T10:15:00Z","UserId":"u1"}'
+DEEP_LINE = "[" * 100_000 + "]" * 100_000
+BIG_INT_LINE = GOOD_LINE[:-1] + ',"Size":' + "9" * 5000 + "}"  # an ignored field
+
+
+@pytest.mark.parametrize("line", [DEEP_LINE, BIG_INT_LINE], ids=["deep", "big-int"])
+def test_parse_record_counts_a_line_the_decoder_refuses_as_bad_json(line):
+    assert parse_record(line) == MalformedRecord("bad JSON")
+
+
+def test_lines_the_decoder_refuses_never_end_a_run():
+    lines = [DEEP_LINE + "\n", GOOD_LINE + "\n", BIG_INT_LINE + "\n",
+             GOOD_LINE.replace("e1", "e2") + "\n"]
+    stats, engines = run_monitor(lines, CONFIG, None)
+    assert (stats.events_read, stats.events_malformed, stats.events_processed) == (4, 2, 2)
+    assert stats.malformed_by_reason == {"bad JSON": 2}
+    assert engines[0].entity_state("u1").events_by_week == {202225: [615, 615]}
+
+
+# The referee of the scanner and table paths: lines whose every part is drawn
+# from what each path must refuse or tell apart, judged by json.loads and the
+# regex path alone.
+_DAYS = ["2022-06-22", "2021-01-03"]
+_TIMESTAMP_TEXTS = st.one_of(
+    st.builds("{}T{:02d}:{:02d}:{:02d}Z".format, st.sampled_from(_DAYS + ["2022-06-23"]),
+              st.integers(0, 24), st.integers(0, 60), st.integers(0, 60)),
+    st.sampled_from([
+        "２０２２-０６-２２T１０:１５:００Z",  # fullwidth digits
+        "2022-06-22T10:15:٠٠Z",              # Arabic-Indic seconds
+        "2022-02-30T10:15:00Z", "2022-06-22t10:15:00Z", "2022-06-22T10:15:00z",
+        "2022-06-22T10:15-00Z", "2022-06-22T10:15:00", " 2022-06-22T10:15:00Z",
+    ]))
+_VALUES = st.one_of(
+    _TIMESTAMP_TEXTS.map(json.dumps),
+    st.sampled_from(['"e1"', '"u1"', '""', "null", "17", "1.5", "true", "[]", "{}",
+                     "NaN", "Infinity", "-Infinity", "1e999", "9" * 4301,
+                     r'"\u00e9"', r'"\ud800"', "[" * 3000 + "]" * 3000]))
+_MEMBERS = st.lists(st.tuples(st.sampled_from(["Id", "ID", "CreationTime", "UserId", "x"]),
+                              _VALUES), max_size=6)
+
+
+@st.composite
+def record_lines(draw):
+    members = draw(_MEMBERS)
+    value = "{" + ",".join(f"{json.dumps(key)}:{text}" for key, text in members) + "}"
+    depth = draw(st.sampled_from([0, 0, 0, 1, 2, 3000]))
+    value = draw(st.sampled_from([value, value, value, "[" * depth + value + "]" * depth,
+                                  '"text"', "NaN", "nonsense", ""]))
+    space = st.text(" \t\r\n\xa0\u2003\u3000\x0b\x0c\x1c\u2028\ufeff", max_size=3)
+    return (draw(st.sampled_from(["", "", "\ufeff"])) + draw(space) + value + draw(space)
+            + draw(st.sampled_from(["", "", "", "x", "}", "{}", "1", ",", "\n{}"])))
+
+
+@given(line=record_lines(), seeded=st.sets(st.sampled_from(_DAYS), min_size=1, max_size=2))
+def test_parse_record_answers_as_json_loads_and_the_regex_path(line, seeded):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calendar_periods, "_week_of_day",
+                      {day: parse_timestamp_reference(day + "T00:00:00Z")[0] for day in seeded})
+        expected = parse_record_reference(line)
+        assert parse_record(line) == expected
+        assert parse_record(line) == expected  # from the day the first may have cached
 
 
 # --------------------------------------------------------------------------
@@ -241,6 +313,12 @@ def test_restore_rejects_truncated_document():
     text = json.dumps(dump_state(engines[0]))
     with pytest.raises(RestoreError, match="invalid JSON"):
         restore_state(text[: len(text) // 2])
+
+
+@pytest.mark.parametrize("text", [DEEP_LINE, BIG_INT_LINE], ids=["deep", "big-int"])
+def test_restore_refuses_text_the_decoder_refuses(text):
+    with pytest.raises(RestoreError, match="^invalid JSON: "):
+        restore_state(text)
 
 
 def _user(d):
