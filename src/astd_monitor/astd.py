@@ -152,10 +152,6 @@ class InterleaveInstance:
         self.child = _instantiate(node.child, registry)
         self.children: dict[Any, dict] = {}
 
-    def _fresh_scope(self) -> dict:
-        registry = self._registry
-        return {decl.name: registry[decl.initializer]() for decl in self.node.child.attributes}
-
     def _step(self, label: str, payload: Mapping[str, Any]) -> bool:
         try:
             value = payload[self.node.variable]
@@ -166,18 +162,12 @@ class InterleaveInstance:
         scope = self.children.get(value)
         if scope is not None:
             return self.child._step(label, payload, scope)
-        scope = self._fresh_scope()
+        registry = self._registry
+        scope = {decl.name: registry[decl.initializer]() for decl in self.node.child.attributes}
         if self.child._step(label, payload, scope):
             self.children[value] = scope
             return True
         return False  # a fresh key that refused the event leaves no trace
-
-    def ensure_child(self, key: Any) -> dict:
-        """Get or create the persistent state dict of ``key``."""
-        scope = self.children.get(key)
-        if scope is None:
-            scope = self.children[key] = self._fresh_scope()
-        return scope
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,7 @@ head week is refused, and its event not recorded, when it lies more than
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import insort
 from dataclasses import dataclass, field, fields
@@ -65,6 +66,12 @@ from .kde import KdeProfile, density_at, fit_profile, select_bandwidth
 
 EVENT_LABEL = "activity"
 USER_VAR = "user"
+
+
+# The smallest fixed bandwidth h at which the kernel's widest scaled distance
+# squared, (1439 / h) ** 2, is a finite float; below it the fit and the score
+# overflow.
+MIN_FIXED_BANDWIDTH = 1439 / math.sqrt(sys.float_info.max)
 
 
 class ConfigError(ValueError):
@@ -111,9 +118,9 @@ class DetectorConfig:
         if self.bandwidth_method == "fixed":
             # A finite float too: the refit and restore take float(value).
             if not (_is_number(self.bandwidth_value, (int, float))
-                    and 0 < self.bandwidth_value <= sys.float_info.max):
-                raise ConfigError(f"fixed bandwidth requires a finite bandwidth_value > 0, "
-                                  f"got {self.bandwidth_value!r}")
+                    and MIN_FIXED_BANDWIDTH <= self.bandwidth_value <= sys.float_info.max):
+                raise ConfigError(f"fixed bandwidth requires a finite bandwidth_value >= "
+                                  f"{MIN_FIXED_BANDWIDTH!r}, got {self.bandwidth_value!r}")
         if not isinstance(self.circular, bool):
             raise ConfigError(f"circular must be a boolean, got {self.circular!r}")
 
@@ -177,8 +184,10 @@ class EntityState:
             profile_counts=dict(attrs["profile_counts"]),
         )
 
-    def check_invariants(self) -> None:
-        """Raise ValueError on the first violated state invariant."""
+    def check_invariants(self, config: DetectorConfig) -> None:
+        """Raise ValueError on the first violated state invariant, or if
+        weeks accumulate behind a window that ``add_event`` would still fill
+        under ``config``: the state is not one the window rules reach."""
         used, acc, events = self.used_periods, self.accumulated_periods, self.events_by_week
         for name, periods in (("used_periods", used), ("accumulated_periods", acc)):
             for period in periods:
@@ -213,6 +222,12 @@ class EntityState:
                 if type(m) is not int or not 0 <= m <= 1439:
                     kind = "not an integer" if type(m) is not int else "out of range [0, 1439]"
                     raise ValueError(f"minute {m!r} in week {period} is {kind}")
+        if acc:
+            held = count_events(events, used)
+            if len(used) < config.n or held < config.k:
+                raise ValueError(f"accumulated weeks behind a window short of "
+                                 f"n = {config.n} weeks or k = {config.k} events "
+                                 f"(weeks: {len(used)}, events: {held})")
         for alert in self.alerts:
             if not isinstance(alert, str):
                 raise ValueError(f"alert id {alert!r} is not a string")
@@ -233,17 +248,6 @@ class EntityState:
             tail += minutes[:count]
         if tail and profile.sample[-len(tail):].tolist() != tail:
             raise ValueError("profile counts do not read the tail of the profile's sample")
-
-    def check_window(self, config: DetectorConfig) -> None:
-        """Raise ValueError if weeks accumulate behind a window that
-        ``add_event`` would still fill. Needs :meth:`check_invariants` first."""
-        if self.accumulated_periods:
-            used = self.used_periods
-            held = count_events(self.events_by_week, used)
-            if len(used) < config.n or held < config.k:
-                raise ValueError(f"accumulated weeks behind a window short of "
-                                 f"n = {config.n} weeks or k = {config.k} events "
-                                 f"(weeks: {len(used)}, events: {held})")
 
 
 # --------------------------------------------------------------------------
@@ -499,16 +503,19 @@ class MonitorEngine:
         return {user: EntityState.capture(attrs)
                 for user, attrs in self.attributes().items()}
 
-    def adopt_user(self, user_id: str, state: EntityState) -> None:
-        """Install a previously captured state for one user. Raises
+    def adopt_user(self, user_id: str, state: EntityState) -> dict[str, Any]:
+        """Install a previously captured state for one user as a new attribute
+        dict, holding its own copy of each list, and return that dict. Raises
         ValueError, installing nothing, if the state breaks an invariant or
         is one the window rules cannot reach."""
-        state.check_invariants()
-        state.check_window(self.config)
-        attrs = self._root.ensure_child(user_id)
-        attrs["events_by_week"] = {p: list(v) for p, v in state.events_by_week.items()}
-        attrs["used_periods"] = list(state.used_periods)
-        attrs["accumulated_periods"] = list(state.accumulated_periods)
-        attrs["user_kde"] = state.profile
-        attrs["profile_counts"] = dict(state.profile_counts)
-        attrs["alerts"] = list(state.alerts)
+        state.check_invariants(self.config)
+        attrs = self._root.children[user_id] = {
+            "events_by_week": {p: list(v) for p, v in state.events_by_week.items()},
+            "used_periods": list(state.used_periods),
+            "accumulated_periods": list(state.accumulated_periods),
+            "start_kde": False,
+            "user_kde": state.profile,
+            "profile_counts": dict(state.profile_counts),
+            "alerts": list(state.alerts),
+        }
+        return attrs

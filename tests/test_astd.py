@@ -81,7 +81,8 @@ def test_build_names_missing_reference():
 
 def test_build_single_state_loop_starts_in_that_state():
     instance = build(per_key(loop_automaton("a")), {})
-    assert state_of(instance.child, instance.ensure_child("u1")) == "s0"
+    assert step(instance, "e", U1) is True
+    assert state_of(instance.child, instance.children["u1"]) == "s0"
 
 
 def test_build_rejects_non_callable_registry_entry():
@@ -110,7 +111,8 @@ def test_build_rejects_duplicate_attribute_names():
 def test_initializers_may_compute_values():
     spec = loop_automaton("a", attributes=[AttributeDecl("x", "make_x")])
     instance = build(per_key(spec), {"make_x": lambda: 41 + 1})
-    assert instance.ensure_child("u1")["x"] == 42
+    step(instance, "e", U1)
+    assert instance.children["u1"]["x"] == 42
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_refused_event_is_a_noop():
                           attributes=[AttributeDecl("log", "init_log"),
                                       AttributeDecl("flag", "init_false")])
     instance = build(per_key(spec), registry)
-    attrs = instance.ensure_child("u1")
+    attrs = instance.children["u1"] = {"log": [], "flag": False}
     assert step(instance, "e", U1) is False
     assert attrs == {"log": [], "flag": False}  # node action did not run either
 
@@ -182,7 +184,7 @@ def test_wrong_label_is_refused():
     spec = loop_automaton("a", action="a_tr",
                           attributes=[AttributeDecl("log", "init_log")])
     instance = build(per_key(spec), registry)
-    attrs = instance.ensure_child("u1")
+    attrs = instance.children["u1"] = {"log": []}
     assert step(instance, "other", U1) is False
     assert attrs == {"log": []}
 
@@ -259,17 +261,6 @@ def test_interleave_refusing_fresh_child_leaves_no_trace():
     instance = build(per_key(child), registry)
     assert step(instance, "e", U1) is False
     assert instance.children == {}
-
-
-def test_ensure_child_gets_or_creates_the_persistent_child():
-    spec, registry = interleave_spec()
-    instance = build(spec, registry)
-    created = instance.ensure_child("u1")
-    assert instance.children == {"u1": created}
-    assert created == {"log": []} and state_of(instance.child, created) == "s0"
-    step(instance, "e", U1)
-    assert instance.ensure_child("u1") is created
-    assert created["log"] == ["a_tr"]
 
 
 def test_interleave_missing_variable_raises_dispatch_error():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import math
+import warnings
 import weakref
 from datetime import date, timedelta
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from astd_monitor.calendar_periods import parse_timestamp, period_start
 from astd_monitor.detector import (
+    MIN_FIXED_BANDWIDTH,
     AlertRecord,
     ConfigError,
     DetectorConfig,
@@ -22,6 +25,7 @@ from astd_monitor.detector import (
     refresh_profile,
 )
 from astd_monitor.kde import density_at, fit_profile, select_bandwidth
+from astd_monitor.stream import dump_state, restore_state
 from astd_monitor.trace import TRACE_EVENTS, TRACE_USER
 
 from oracles import InterpretedMonitor, WindowOracle, naive_kde, silverman_reference
@@ -70,10 +74,33 @@ def feed(attrs, timestamps, config=CONFIG):
     dict(bandwidth_method="fixed", bandwidth_value=True),
     dict(bandwidth_method="fixed", bandwidth_value=float("inf")),
     dict(bandwidth_method="fixed", bandwidth_value=10**400),  # too large for a float
+    dict(bandwidth_method="fixed", bandwidth_value=1e-160),   # (1439 / h) ** 2 overflows
+    dict(bandwidth_method="fixed", bandwidth_value=1e-320),   # subnormal
 ])
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
         DetectorConfig.from_dict(kwargs)
+
+
+def test_the_smallest_fixed_bandwidth_fits_and_scores_without_overflow():
+    below = math.nextafter(MIN_FIXED_BANDWIDTH, 0.0)
+    with pytest.raises(ConfigError, match="fixed bandwidth"):
+        DetectorConfig(bandwidth_method="fixed", bandwidth_value=below).validate()
+    config = DetectorConfig(n=1, k=2, bandwidth_method="fixed",
+                            bandwidth_value=MIN_FIXED_BANDWIDTH)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings raise
+        engine = MonitorEngine(config)
+        for event_id, ts in TRACE_EVENTS:
+            engine.process(event_id, TRACE_USER, *parse_timestamp(ts))
+        assert engine.profiles_computed > 0
+        # Grid-free, direct-sum and binned fits, linear and circular.
+        for sample in ([0, 1439], [600] * 40 + [0, 1439], [600] * 300 + [0, 1439]):
+            for circular in (False, True):
+                profile = fit_profile(sample, MIN_FIXED_BANDWIDTH, circular=circular)
+                assert np.isfinite(profile.densities).all()
+                assert 0.0 < density_at(profile, 1439) < math.inf
+                assert density_at(profile, 300) == 0.0
 
 
 def test_config_round_trips_through_dict():
@@ -293,7 +320,7 @@ def test_retained_weeks_stay_inside_the_window_lists(n, k, max_gap, events):
             state.accumulated_periods)
         assert state.events_by_week == oracle.events
         assert (state.used_periods, state.accumulated_periods) == (oracle.used, oracle.acc)
-        state.check_invariants()
+        state.check_invariants(config)
 
 
 # --------------------------------------------------------------------------
@@ -540,9 +567,20 @@ def test_each_user_is_one_dict_of_the_declared_attributes():
     assert user == TRACE_USER
     assert engine.attributes() is engine.attributes()  # the interleave's own map
     # The single-state automata record no control state in the dict.
-    assert set(attrs) == {"events_by_week", "used_periods", "accumulated_periods",
-                          "start_kde", "user_kde", "profile_counts", "alerts"}
+    declared = {"events_by_week", "used_periods", "accumulated_periods",
+                "start_kde", "user_kde", "profile_counts", "alerts"}
+    assert set(attrs) == declared
     assert EntityState.capture(attrs) == engine.entity_state(TRACE_USER)
+    # adopt_user builds the dict itself, on both ways in: restore and adoption.
+    restored = restore_state(dump_state(engine))
+    adopted = MonitorEngine(CONFIG)
+    installed = adopted.adopt_user(TRACE_USER, engine.entity_state(TRACE_USER))
+    for heir in (restored, adopted):
+        (user, attrs), = heir.attributes().items()
+        assert user == TRACE_USER
+        assert set(attrs) == declared and attrs["start_kde"] is False
+        assert EntityState.capture(attrs) == engine.entity_state(TRACE_USER)
+    assert installed is adopted.attributes()[TRACE_USER]
 
 
 def test_counters_track_profiles_and_alerts():
@@ -566,7 +604,7 @@ def valid_state(**overrides):
 
 
 def test_invariants_accept_a_valid_state():
-    valid_state().check_invariants()
+    valid_state().check_invariants(CONFIG)
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -591,7 +629,7 @@ def test_invariants_accept_a_valid_state():
 ])
 def test_invariants_reject_corrupt_states(overrides, message):
     with pytest.raises(ValueError, match=message):
-        valid_state(**overrides).check_invariants()
+        valid_state(**overrides).check_invariants(CONFIG)
 
 
 # Week 202225 holds [540, 600, 660]; the profile's sample is [30, 540, 600].
@@ -607,14 +645,14 @@ def test_invariants_reject_profile_counts_that_do_not_end_the_sample(counts, mes
     state = valid_state(events_by_week={202225: [540, 600, 660]},
                         profile=fit_profile([30, 540, 600], 5.0), profile_counts=counts)
     with pytest.raises(ValueError, match=message):
-        state.check_invariants()
+        state.check_invariants(CONFIG)
 
 
 def test_invariants_accept_profile_counts_that_end_the_sample():
     for counts in ({}, {202225: 0}, {202225: 2}):
         valid_state(events_by_week={202225: [540, 600, 660]},
                     profile=fit_profile([30, 540, 600], 5.0),
-                    profile_counts=counts).check_invariants()
+                    profile_counts=counts).check_invariants(CONFIG)
 
 
 def test_adopt_user_refuses_what_it_used_to_convert():
@@ -636,13 +674,13 @@ def test_invariants_accept_a_week_exactly_when_the_calendar_does(year):
             period_start(period)
         except ValueError as exc:
             with pytest.raises(ValueError) as refused:
-                state.check_invariants()
+                state.check_invariants(CONFIG)
             assert str(refused.value) == f"used_periods: {period} is not an ISO week: {exc}"
         else:
-            state.check_invariants()
+            state.check_invariants(CONFIG)
 
 
 def test_invariants_see_cross_year_ordering_correctly():
     # consecutive weeks across a year boundary are valid
     valid_state(events_by_week={202252: [1], 202301: [2]},
-                used_periods=[202252, 202301]).check_invariants()
+                used_periods=[202252, 202301]).check_invariants(CONFIG)

@@ -22,7 +22,6 @@ from astd_monitor.stream import (
     alert_to_json,
     dump_state,
     parse_record,
-    resident_memory_bytes,
     restore_state,
     run_monitor,
 )
@@ -259,7 +258,8 @@ def test_stats_invariant_processed_equals_read_minus_malformed():
 
 
 def test_resident_memory_is_measurable():
-    assert resident_memory_bytes() > 0
+    stats, _ = run_monitor(trace_lines(), CONFIG, None)
+    assert stats.peak_rss_bytes > 0  # the process's peak, not a sample of it
 
 
 def test_alert_json_has_exactly_the_record_fields():
@@ -403,8 +403,17 @@ PROFILE_KEYS = ("profile: expected null or an object with exactly the keys 'drop
     pytest.param(_fixed_bandwidth(True), "config: fixed bandwidth", id="bandwidth-bool"),
     pytest.param(_fixed_bandwidth(float("inf")), "config: fixed bandwidth",
                  id="bandwidth-inf"),
+    # (1439 / h) ** 2 overflows: the kernel and the score would too.
+    pytest.param(_fixed_bandwidth(1e-160), "config: fixed bandwidth", id="bandwidth-1e-160"),
+    pytest.param(_fixed_bandwidth(1e-320), "config: fixed bandwidth",
+                 id="bandwidth-subnormal"),
     pytest.param(lambda d: _user(d)["weeks"].update({"202226": [True]}),
-                 "weeks\\[202226\\]", id="minute-bool"),
+                 "users\\['u1'\\]: minute True in week 202226", id="minute-bool"),
+    # A minute the profile reads: checked before the fit, which would raise
+    # TypeError on null (and read 3.5 as 3).
+    pytest.param(lambda d: _user(d)["weeks"]["202227"].__setitem__(0, None),
+                 "users\\['u1'\\]: minute None in week 202227 is not an integer",
+                 id="counted-minute-null"),
     pytest.param(lambda d: _user(d).update(used=True), "used: expected an integer",
                  id="used_periods-bool"),
     pytest.param(lambda d: _user(d)["weeks"].update({"true": [1]}),
@@ -667,7 +676,7 @@ def test_any_stream_cut_anywhere_matches_the_interpreter_and_an_unbroken_run(cas
     resumed = []
     _, head = run_monitor(lines[:cut], config, resumed.append)
     for state in head[0].export_users().values():
-        state.check_invariants()
+        state.check_invariants(config)
     doc = dump_state(head)
     restored = restore_state(json.dumps(doc))
     # The restored profile is the window oracle's last fitted sample.
