@@ -7,7 +7,8 @@ of thumb with a one-minute floor. Scoring an event needs the density at
 its minute only.
 
 Samples are integer minutes, so the kernel is only ever evaluated at the
-2879 integer offsets -1439..1439. There are three evaluation paths:
+2879 integer offsets -1439..1439, and only out to the distance h*sqrt(1520)
+beyond which it underflows to +0.0. There are three evaluation paths:
 
 * small samples (m <= _GRID_FREE_MAX) keep no grid: ``density_at``
   evaluates the kernel at the m offsets of the scored minute and adds the
@@ -20,9 +21,10 @@ Samples are integer minutes, so the kernel is only ever evaluated at the
   1440 outputs that fall on the grid.
 
 The first two give the same bits at every minute. The binned sum agrees
-with them to float64 accuracy but not bit for bit; it has the bits of
-the full convolution, because numpy computes each output with the same
-dot product whichever outputs it is asked for.
+with them to float64 accuracy but not bit for bit; it has the bits of the
+full convolution, because numpy computes each output with the same dot
+product whichever outputs it is asked for. Grid paths sum the table times
+2^64: the same bits, without subnormal arithmetic (see ``_scaled_table``).
 """
 
 from __future__ import annotations
@@ -41,31 +43,29 @@ MIN_BANDWIDTH = 1.0
 # Largest sample summed slice by slice instead of by convolution. Each path's
 # summation order sets the low bits of the densities written to alerts, so
 # moving this crossover changes alert bytes even where it would save time.
-# Above _GRID_FREE_MAX these fits build the grid (costs measured below).
 _DIRECT_PATH_MAX = 256
 
-# Largest sample fitted without a grid: it keeps the sample and bandwidth, and
-# density_at sums the direct path's terms at the one scored minute, in the
-# same order, so moving this cut-off moves no bits, only time. Measured
-# in-process in three sweeps (2-vCPU Xeon VM, numpy 2.4, Silverman
-# bandwidth): a fit with a grid costs 62-88 us at m <= 8, 92-131 us at 32
-# and 433-558 us at 256, one without 18-61 us; a score costs 0.2-0.4 us from
-# the grid and 8-13 us without. So the grid pays off once a refit gets more
-# than about 5-11 scores at m <= 32, 16 at 64, 25-35 at 128 and 40 at 256.
-# The bench's sparse windows (all m <= 32) get 2.5 scores per refit;
-# disorder's direct-path windows (all m > 128) get 59, and with this cut-off
-# at 256 disorder's median event latency rose 4-15% (three paired 5 s bench
-# runs).
+# Largest sample fitted without a grid: density_at sums the direct path's terms
+# at the scored minute in the same order, so this cut-off moves time, not bits.
+# In-process (2-vCPU Xeon VM, numpy 2.4, Silverman h) a grid fit costs 29-44 us
+# at m <= 32 against 8-9 us without, and a score 0.1 against 3.3 us: the grid
+# pays after 7-11 scores per refit, 16 at m = 64, 25 at 128 and 37 at 256.
+# Sparse windows (m <= 32) get 2.5; disorder's direct-path ones (m > 128) 59.
 _GRID_FREE_MAX = 32
 
-# |offset| for every grid-to-sample offset -1439..1439 (index 1439 is offset
-# 0), and the same folded the shortest way around midnight.
-_OFFSETS = np.abs(np.arange(-(GRID_MINUTES - 1), GRID_MINUTES, dtype=np.float64))
+# Every grid-to-sample distance 0..1439, and the distance of each offset
+# -1439..1439 folded the shortest way around midnight (index 1439 is offset 0).
+_DISTANCES = np.arange(GRID_MINUTES, dtype=np.float64)
+_OFFSETS = np.abs(np.arange(1 - GRID_MINUTES, GRID_MINUTES))
 _CIRCULAR_OFFSETS = np.minimum(_OFFSETS, GRID_MINUTES - _OFFSETS)
-_OFFSETS.setflags(write=False)
+_DISTANCES.setflags(write=False)
 _CIRCULAR_OFFSETS.setflags(write=False)
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+# exp(-0.5 * z * z) is an exact zero once z * z > 1491 (it underflows below
+# -745.2), so beyond z = sqrt(1520) every table entry is the +0.0 it would be.
+_REACH_Z = math.sqrt(1520.0)
+_SCALE = 2.0 ** 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +174,26 @@ def _kernel_over(dist: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(-0.5 * z * z) / _SQRT_TWO_PI
 
 
+def _scaled_table(bandwidth: float, circular: bool) -> np.ndarray:
+    """The kernel at offsets -1439..1439 (index 1439 is offset 0) times 2^64,
+    out to where it underflows. Its sums and dot products with integer counts
+    are 2^64 times the unscaled ones, bit for bit: a result subnormal unscaled
+    is exact (a multiple of 2^-1074); the scale commutes with any other."""
+    limit = GRID_MINUTES // 2 if circular else GRID_MINUTES - 1
+    span = bandwidth * _REACH_Z  # inf when the bandwidth is near float max
+    reach = limit if span >= limit else int(span)
+    table = np.zeros(2 * GRID_MINUTES - 1)
+    half = table[GRID_MINUTES - 1 : GRID_MINUTES + reach]  # offsets 0..reach
+    np.multiply(_kernel_over(_DISTANCES[: reach + 1], bandwidth), _SCALE, out=half)
+    if circular:
+        return table[GRID_MINUTES - 1 :][_CIRCULAR_OFFSETS]
+    table[GRID_MINUTES - 1 - reach : GRID_MINUTES - 1] = half[:0:-1]
+    return table
+
+
 def _direct_grid(x: np.ndarray, bandwidth: float, circular: bool) -> np.ndarray:
     """The direct sum at every grid minute, from one kernel table."""
-    kernel = _kernel_over(_CIRCULAR_OFFSETS if circular else _OFFSETS, bandwidth)
+    kernel = _scaled_table(bandwidth, circular)
     # The kernel centred on x_i is the table slice starting at 1439 - x_i.
     # The slices are added into one accumulator left to right, in sample
     # order, as summing their m x 1440 stack over axis 0 would: the
@@ -185,6 +202,7 @@ def _direct_grid(x: np.ndarray, bandwidth: float, circular: bool) -> np.ndarray:
     acc = kernel[first : first + GRID_MINUTES].copy()
     for start in rest:
         np.add(acc, kernel[start : start + GRID_MINUTES], out=acc)
+    acc /= _SCALE
     return acc / (x.size * bandwidth)
 
 
@@ -192,18 +210,15 @@ def _binned_grid(x: np.ndarray, bandwidth: float, circular: bool) -> np.ndarray:
     """The per-minute counts convolved with the kernel table, at every grid
     minute: the outputs full[r : r + 1440] of ``np.convolve(counts, k)``,
     where k is the table with its exact-zero tails trimmed, L = 2r + 1 long."""
-    kernel = _kernel_over(_CIRCULAR_OFFSETS if circular else _OFFSETS, bandwidth)
+    kernel = _scaled_table(bandwidth, circular)
     counts = np.bincount(x, minlength=GRID_MINUTES).astype(np.float64)
-    # The tails are symmetric and underflow to exact zeros for small
-    # bandwidths; dropping them cannot change any sum, and it shortens the
-    # convolution a lot.
-    nonzero = np.flatnonzero(kernel)
-    k = kernel[nonzero[0] : nonzero[-1] + 1]
-    # Each mode computes an output with the same dot product as "full" mode,
-    # so asking for the grid's outputs alone keeps their bits. "valid" gives
-    # full[1439 : 2879], which is the grid when L = 2879. "same" gives the
-    # len(longer) outputs centred on the shorter operand: full[r : r + 1440]
-    # when L <= 1440, and full[719 : 719 + L] otherwise.
+    # Trimming the symmetric exact-zero tails changes no sum and shortens it.
+    lo = int((kernel != 0.0).argmax())
+    k = kernel[lo : kernel.size - lo]
+    # Each mode computes an output with the same dot product as "full", so the
+    # grid's outputs alone keep their bits: "valid" gives full[1439 : 2879]
+    # (L = 2879), "same" the len(longer) outputs centred on the shorter one,
+    # full[r : r + 1440] when L <= 1440 and full[719 : 719 + L] otherwise.
     if k.size == 2 * GRID_MINUTES - 1:
         dens = np.convolve(counts, k, "valid")
     elif k.size <= GRID_MINUTES:
@@ -211,6 +226,7 @@ def _binned_grid(x: np.ndarray, bandwidth: float, circular: bool) -> np.ndarray:
     else:
         start = k.size // 2 - (GRID_MINUTES // 2 - 1)
         dens = np.convolve(counts, k, "same")[start : start + GRID_MINUTES]
+    dens /= _SCALE
     return dens / (x.size * bandwidth)
 
 
@@ -231,24 +247,21 @@ def fit_profile(
     m = len(sample)
     if m == 0:
         raise ValueError("cannot fit a profile from an empty sample")
-    if bandwidth is None:
-        bandwidth = select_bandwidth(sample)
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-
     # A copy, never a view of the caller's array. It and the grid are made
     # read-only here, so the profile keeps both without copying them again.
     x = np.array(sample, dtype=np.int64)
+    if bandwidth is None:
+        bandwidth = select_bandwidth(x)
+    if not bandwidth > 0.0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     if x.size and (x.min() < 0 or x.max() >= GRID_MINUTES):
         raise ValueError("sample minutes must lie in [0, 1439]")
     x.setflags(write=False)
 
     if m <= _GRID_FREE_MAX:
         return KdeProfile(None, float(bandwidth), x, circular)
-    if m <= _DIRECT_PATH_MAX:
-        dens = _direct_grid(x, bandwidth, circular)
-    else:
-        dens = _binned_grid(x, bandwidth, circular)
+    grid_of = _direct_grid if m <= _DIRECT_PATH_MAX else _binned_grid
+    dens = grid_of(x, bandwidth, circular)
     dens.setflags(write=False)
     return KdeProfile(dens, float(bandwidth), x, circular)
 

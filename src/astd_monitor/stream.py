@@ -112,6 +112,9 @@ def parse_record(line: str) -> ParsedEvent | MalformedRecord:
 
 @dataclass
 class RunStats:
+    """``peak_rss_bytes`` is the process's lifetime peak: a caller embedding
+    ``run_monitor`` sees whatever the process held before the run too."""
+
     events_read: int = 0
     events_malformed: int = 0
     events_processed: int = 0

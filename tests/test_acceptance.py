@@ -325,7 +325,7 @@ def test_criterion_5_performance(announce, million_event_corpus):
         throughput = stats.events_read / stats.wall_time_s
         peak_mb = stats.peak_rss_bytes / 1e6
         assert throughput >= 5000.0, f"{throughput:.0f} events/s"
-        assert stats.peak_rss_bytes < 500_000_000, f"peak RSS {peak_mb:.0f} MB"
+        assert stats.peak_rss_bytes < 500_000_000, f"process peak RSS {peak_mb:.0f} MB"
         c.detail = (f"{throughput:.0f} events/s, peak RSS {peak_mb:.0f} MB, "
                     f"{bounded_checks[0]} boundedness checks, "
                     f"{stats.alerts_emitted} alerts")

@@ -3,17 +3,27 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from astd_monitor.detector import DetectorConfig, EntityState, MonitorEngine
+from astd_monitor.detector import (
+    MIN_FIXED_BANDWIDTH,
+    DetectorConfig,
+    EntityState,
+    MonitorEngine,
+)
 from astd_monitor.kde import (
     _DIRECT_PATH_MAX,
     _GRID_FREE_MAX,
+    _REACH_Z,
     GRID_MINUTES,
     KdeProfile,
+    _kernel_over,
+    _scaled_table,
     density_at,
     fit_profile,
     select_bandwidth,
@@ -138,12 +148,26 @@ def test_fit_matches_oracle_across_both_code_paths(m, circular):
 bandwidths = st.one_of(st.none(), st.sampled_from([0.5, 1.0]),
                        st.floats(1.0, 200.0), st.floats(1441.0, 1e9))
 
+# Dense's case: a clustered window with h near 12, whose kernel table has
+# subnormal entries. Fixed edge bandwidths below: 36.9 and 37.0 straddle
+# 1439 / sqrt(1520), where the table stops being cut short; 38.9 and 39.1
+# straddle sqrt(1520); float max must not overflow the reach.
+CLUSTERED = np.clip(np.random.default_rng(12).normal(600, 60, 450).round(),
+                    0, GRID_MINUTES - 1).astype(int).tolist()
+
 
 @settings(deadline=None, max_examples=150)
 @given(shaped_samples(256), bandwidths, st.booleans())
 @example([0] * 256, 0.5, True)
 @example(list(range(0, 1280, 5)), None, False)
 @example([1439], 2000.0, True)
+@example(CLUSTERED[:250], 12.0, False)
+@example(CLUSTERED[:250], 36.9, False)
+@example(CLUSTERED[:250], 37.0, False)
+@example(CLUSTERED[:250], 38.9, False)
+@example(CLUSTERED[:250], 39.1, False)
+@example(CLUSTERED[:250], sys.float_info.max, False)
+@example(CLUSTERED[:250], sys.float_info.max, True)
 def test_fit_direct_path_is_bit_exact_with_broadcast(sample, bandwidth, circular):
     h = silverman_numpy(sample) if bandwidth is None else bandwidth
     profile = fit_profile(sample, bandwidth, circular=circular)
@@ -162,11 +186,47 @@ def test_fit_direct_path_is_bit_exact_with_broadcast(sample, bandwidth, circular
 @example(list(range(0, 1440, 3)), 25.0, False)
 @example(list(range(0, 1440, 3)), 60.0, False)
 @example([0] * 300 + [1439] * 300, 5.0, True)
+@example(CLUSTERED, 12.0, False)
+@example(CLUSTERED, 36.9, False)
+@example(CLUSTERED, 37.0, False)
+@example(CLUSTERED, 38.9, False)
+@example(CLUSTERED, 39.1, False)
+@example(CLUSTERED, sys.float_info.max, False)
+@example(CLUSTERED, sys.float_info.max, True)
 def test_fit_binned_path_is_bit_exact_with_full_convolution(sample, bandwidth, circular):
     h = silverman_numpy(sample) if bandwidth is None else bandwidth
     profile = fit_profile(sample, bandwidth, circular=circular)
     assert profile.bandwidth == h
     assert np.array_equal(profile.densities, convolve_kde(sample, h, circular))
+
+
+# Both grid paths sum the table scaled by 2^64, so no operation meets a
+# subnormal; that is exact only if the scaled table holds no subnormal and is
+# the full table to the bit. Every quarter octave of the accepted bandwidths,
+# and every tenth of a minute up to 60, where the tails turn subnormal.
+TABLE_BANDWIDTHS = sorted({math.ldexp(MIN_FIXED_BANDWIDTH * 2.0 ** (q % 4 / 4), q // 4)
+                           for q in range(6100)}
+                          | {t / 10 for t in range(1, 601)}
+                          | {(GRID_MINUTES - 1) / _REACH_Z, sys.float_info.max})
+
+
+@pytest.mark.parametrize("circular", [False, True])
+def test_scaled_kernel_table_is_the_full_table_without_subnormals(circular):
+    offsets = np.abs(np.arange(1 - GRID_MINUTES, GRID_MINUTES, dtype=np.float64))
+    if circular:
+        offsets = np.minimum(offsets, GRID_MINUTES - offsets)
+    def subnormal(a):
+        return (a != 0.0) & (a < sys.float_info.min)
+
+    with_subnormals = []
+    for h in TABLE_BANDWIDTHS:
+        table, full = _scaled_table(h, circular), _kernel_over(offsets, h)
+        assert not np.any(subnormal(table)), h
+        assert np.array_equal(table / 2.0 ** 64, full), h
+        if np.any(subnormal(full)):
+            with_subnormals.append(h)
+    # The premise: unscaled, dense's h = 12 has subnormal entries.
+    assert 12.0 in with_subnormals
 
 
 def test_fit_uniform_sample_is_flat_away_from_edges():

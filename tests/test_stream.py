@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import sys
 from collections import Counter
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -597,6 +599,60 @@ def test_restored_profile_scores_like_the_original():
     original_alerts = engines[0].process("probe", TRACE_USER, *probe)
     restored_alerts = restored.process("probe", TRACE_USER, *probe)
     assert [a.density for a in original_alerts] == [a.density for a in restored_alerts]
+
+
+def fixed_bandwidth_lines():
+    """A seeded stream for a narrow fixed bandwidth: five users of 4 to 160
+    events per week (grid-free, direct and binned fits), and two active in
+    one 31-minute band, the second across midnight, then probed 180-200
+    minutes outside it, where h = 5 leaves subnormal or zero densities."""
+    rng = np.random.default_rng(20221020)
+    monday = datetime(2022, 1, 3)  # ISO week 2022-W01
+    events = []
+
+    def add(user, week, day, minute):
+        events.append((monday + timedelta(weeks=week, days=day, minutes=minute,
+                                          seconds=int(rng.integers(0, 60))), user))
+
+    for u, per_week in enumerate((4, 12, 40, 90, 160)):
+        centre = rng.integers(0, 1440)
+        for week in range(9):
+            for _ in range(rng.poisson(per_week)):
+                minute = (int(centre + rng.normal(0, 45)) if rng.random() < 0.85
+                          else int(rng.integers(0, 1440)))
+                add(f"u{u}", week, int(rng.integers(0, 7)), minute % 1440)
+    for user, low, per_week in (("p", 600, 20), ("q", 1425, 150)):
+        for week in range(9):
+            for _ in range(per_week if week < 8 else 2):
+                add(user, week, 0, (low + int(rng.integers(0, 31))) % 1440)
+        for d in range(180, 201):
+            add(user, 8, 1, (low + 30 + d) % 1440)
+            add(user, 8, 2, (low - d) % 1440)
+    events.sort()
+    return [json.dumps({"Id": f"e{i}", "CreationTime": at.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                        "UserId": user}) + "\n" for i, (at, user) in enumerate(events)]
+
+
+# Every refit under h = 5 has a kernel table with subnormal entries, a
+# configuration the bench never runs. The digests cover the alert lines as
+# the CLI writes them and the snapshot as --state-out writes it; like the
+# bench's pinned digests, they hold for one numpy and libm build.
+@pytest.mark.parametrize("circular,expected", [
+    (False, "eadced024de6b9b9e3dfd47628a7735d109cc9b496ed0cb04432256087de4b98"),
+    (True, "11fc9370aeab24720f5ef541291323700a4e29ed9668ccee5f3b93c93b1b9477"),
+])
+def test_fixed_narrow_bandwidth_run_keeps_its_pinned_bytes(circular, expected):
+    config = DetectorConfig(n=2, k=10, bandwidth_method="fixed", bandwidth_value=5,
+                            circular=circular)
+    alerts = []
+    stats, engines = run_monitor(fixed_bandwidth_lines(), config, alerts.append)
+    assert stats.profiles_computed == 46
+    assert any(0.0 < a.density < sys.float_info.min for a in alerts)
+    digest = hashlib.sha256()
+    for alert in alerts:
+        digest.update(alert_to_json(alert).encode() + b"\n")
+    digest.update(json.dumps(dump_state(engines)).encode())
+    assert digest.hexdigest() == expected
 
 
 # --------------------------------------------------------------------------
