@@ -109,8 +109,9 @@ class DetectorConfig:
             raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
         if not _is_number(self.k, int) or self.k < 1:
             raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (_is_number(self.threshold, (int, float)) and self.threshold > 0):
-            raise ConfigError(f"threshold must be > 0, got {self.threshold!r}")
+        # Finite too: every alert line writes it, and JSON has no NaN or Infinity.
+        if not (_is_number(self.threshold, (int, float)) and 0 < self.threshold <= sys.float_info.max):
+            raise ConfigError(f"threshold must be finite and > 0, got {self.threshold!r}")
         if not _is_number(self.max_gap_weeks, int) or self.max_gap_weeks < 0:
             raise ConfigError(f"max_gap_weeks must be an integer >= 0, got {self.max_gap_weeks!r}")
         if self.bandwidth_method not in ("silverman", "fixed"):
@@ -329,14 +330,7 @@ def check_event(attrs: MutableMapping[str, Any], event_id: str, user_id: str,
     threshold = config.threshold
     if density <= threshold:
         attrs["alerts"].append(event_id)
-        return AlertRecord(
-            event_id=event_id,
-            user_id=user_id,
-            period=period,
-            minute=minute,
-            density=density,
-            threshold=threshold,
-        )
+        return AlertRecord(event_id, user_id, period, minute, density, threshold)
     return None
 
 
@@ -475,12 +469,8 @@ class MonitorEngine:
         """Deliver one event, of ISO week ``period`` (``YYYYWW``) at ``minute``
         of the day (``calendar_periods.parse_timestamp`` gives both); return
         the alerts it raised (empty or one)."""
-        step(self._root, EVENT_LABEL, {
-            USER_VAR: user_id,
-            "event_id": event_id,
-            "period": period,
-            "minute": minute,
-        })
+        step(self._root, EVENT_LABEL,
+             {USER_VAR: user_id, "event_id": event_id, "period": period, "minute": minute})
         raised = self._tally.raised
         if not raised:
             return []

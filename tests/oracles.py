@@ -11,7 +11,9 @@ own ``period_of``/``minute_of`` and collects alerts from its own hook.
 ``datetime_timestamp`` keeps the package's former timestamp parser,
 which defines which strings are timestamps. ``parse_timestamp_reference`` and
 ``parse_record_reference`` keep the package's ingest before its fast paths
-(the regex path alone, and ``json.loads``), as the referee of those paths."""
+(the regex path alone, and ``json.loads``), as the referee of those paths;
+``alert_to_json_reference`` keeps its alert line before the template, one
+``json.dumps`` call, as the referee of that."""
 
 from __future__ import annotations
 
@@ -204,6 +206,12 @@ def parse_record_reference(line: str):
     if parsed is None:
         return MalformedRecord("bad timestamp")
     return ParsedEvent(event_id, user_id, *parsed)
+
+
+def alert_to_json_reference(alert) -> str:
+    """The package's alert line as ``json.dumps`` writes the record's fields,
+    in their order, with no spaces."""
+    return json.dumps(vars(alert), separators=(",", ":"))
 
 
 class WindowOracle:

@@ -79,6 +79,14 @@ def test_the_readme_config_file_parses_to_the_defaults():
     assert DetectorConfig.from_dict(parse_config_text(block)) == DetectorConfig()
 
 
+def test_the_readme_alert_line_is_what_run_writes(tmp_path, trace_input):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Alerts: ", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    assert run_cli(["run", "--input", str(trace_input),
+                    "--alerts", str(tmp_path / "a.ldjson")]) == 0
+    assert (tmp_path / "a.ldjson").read_bytes() == block.encode()
+
+
 def test_circular_flag_takes_true_or_false_in_any_case():
     for word, value in (("TRUE", True), ("False", False), ("true", True)):
         args = cli._build_parser().parse_args(
@@ -165,6 +173,15 @@ def test_run_invalid_flag_override_exits_2(tmp_path, trace_input, config_file):
     code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
                     "--alerts", str(tmp_path / "a.ldjson"), "--k", "0"])
     assert code == 2
+
+
+def test_run_threshold_beyond_a_float_exits_2(tmp_path, trace_input, config_file, capsys):
+    # float("1e400") is inf, which would reach every alert line as Infinity.
+    code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"), "--threshold", "1e400"])
+    assert code == 2
+    assert "threshold must be finite and > 0, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "a.ldjson").exists()
 
 
 def test_run_passes_every_override_flag_into_the_config(tmp_path, trace_input,

@@ -71,6 +71,9 @@ def feed(attrs, timestamps, config=CONFIG):
     dict(k=True),
     dict(max_gap_weeks=False),
     dict(threshold=True),
+    dict(threshold=float("inf")),                         # every alert line writes it
+    dict(threshold=float("nan")),
+    dict(threshold=10**400),                              # too large for a float
     dict(bandwidth_method="fixed", bandwidth_value=True),
     dict(bandwidth_method="fixed", bandwidth_value=float("inf")),
     dict(bandwidth_method="fixed", bandwidth_value=10**400),  # too large for a float

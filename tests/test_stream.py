@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 from collections import Counter
 from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from astd_monitor import calendar_periods
 from astd_monitor.calendar_periods import parse_timestamp
-from astd_monitor.detector import ConfigError, DetectorConfig, EntityState, MonitorEngine
+from astd_monitor.detector import (
+    AlertRecord,
+    ConfigError,
+    DetectorConfig,
+    EntityState,
+    MonitorEngine,
+)
 from astd_monitor.kde import fit_profile, select_bandwidth
 from astd_monitor.stream import (
     MalformedRecord,
@@ -32,6 +40,7 @@ from astd_monitor.trace import TRACE_EVENTS, TRACE_USER
 from oracles import (
     InterpretedMonitor,
     WindowOracle,
+    alert_to_json_reference,
     parse_record_reference,
     parse_timestamp_reference,
 )
@@ -274,6 +283,60 @@ def test_alert_json_has_exactly_the_record_fields():
     assert obj["density"] <= obj["threshold"]
 
 
+# Characters JSON must escape or that only \u escapes write in ASCII: a quote,
+# a backslash, control characters, the JS line separators, a non-BMP character
+# (a surrogate pair) and lone surrogates.
+_ID_CHARS = ('"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\u2029", "\xe9",
+             "\U0001f600", "\ud800", "\udfff", "a", "0")
+_ids = st.text(st.one_of(st.sampled_from(_ID_CHARS), st.characters(exclude_categories=())))
+_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, sys.float_info.min, sys.float_info.max,
+                                     -sys.float_info.max]))
+# Values check_event never writes: other types, NaN and +-inf, and ints of
+# over 4,300 digits, which neither writer may turn into a string.
+_ODD = st.sampled_from([None, "x", 7, 1.5, True, False, 10**400, 10**4301, -(10**5000),
+                        math.nan, math.inf, -math.inf, np.float64(1e-5), np.float64(math.nan)])
+
+
+@st.composite
+def alert_records(draw):
+    """AlertRecords with the field types check_event writes (an int threshold
+    too), up to two fields swapped for an odd value, the density and the
+    threshold in whichever order the constructor accepts."""
+    fields = [draw(_ids), draw(_ids), draw(st.integers()), draw(st.integers()),
+              draw(_floats), draw(st.one_of(_floats, st.integers()))]
+    for i in draw(st.sets(st.integers(0, 5), max_size=2)):
+        fields[i] = draw(_ODD)
+    for density, threshold in ((fields[4], fields[5]), (fields[5], fields[4])):
+        try:
+            return AlertRecord(*fields[:4], density, threshold)
+        except (ValueError, TypeError):  # density above threshold, or not comparable
+            pass
+    assume(False)
+
+
+@dataclasses.dataclass(frozen=True)
+class _NotedAlert(AlertRecord):
+    note: str = "a field past the six"
+
+
+def _written(encode, alert):
+    try:
+        return encode(alert)
+    except Exception as exc:  # then the other side must raise the same type
+        return type(exc)
+
+
+@given(alert=alert_records())
+@example(alert=AlertRecord("e13", "u1", 202225, 0, 6.1e-310, 0.001))
+@example(alert=AlertRecord("\ud800\U0001f600\u2028\"\\", "\x00", 202225, 1439, -0.0, 1))
+@example(alert=AlertRecord("e1", "u1", 10**5000, 0, 0.0, 1.0))
+@example(alert=AlertRecord("e1", "u1", 202225, 0, -math.inf, 1.0))
+@example(alert=_NotedAlert("e1", "u1", 202225, 0, 0.0, 1.0))
+def test_alert_to_json_writes_what_json_dumps_writes(alert):
+    assert _written(alert_to_json, alert) == _written(alert_to_json_reference, alert)
+
+
 # --------------------------------------------------------------------------
 # Snapshots
 # --------------------------------------------------------------------------
@@ -461,6 +524,17 @@ def test_restore_names_the_corrupt_location(mutate, location):
     mutate(doc)
     with pytest.raises(RestoreError, match=location):
         restore_state(doc)
+
+
+@pytest.mark.parametrize("threshold", [math.inf, math.nan])
+def test_restore_refuses_a_non_finite_threshold_naming_config(threshold):
+    _, engines = run_monitor(trace_lines(), CONFIG, None)
+    doc = dump_state(engines[0])
+    doc["config"]["threshold"] = threshold
+    text = json.dumps(doc)  # writes Infinity or NaN, which json.loads reads back
+    assert f'"threshold": {json.dumps(threshold)}' in text
+    with pytest.raises(RestoreError, match="^config: threshold must be finite"):
+        restore_state(text)
 
 
 def test_restore_rejects_a_state_1_snapshot_naming_both_schemas():
