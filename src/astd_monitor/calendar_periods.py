@@ -8,9 +8,10 @@ but differences between them are meaningless across year boundaries:
 
 Timestamps are ingested in the exact textual form ``YYYY-mm-ddTHH:MM:ssZ``
 (UTC only) and parsed once, straight into the ``(period, minute)`` pair the
-detector keys on; no :class:`datetime.datetime` is built per event. A text
-whose day was validated before is answered from tables (the cached days, every
-``HH:MM`` and every seconds field), and exactly: each key passed the full check.
+detector keys on; no :class:`datetime.datetime` is built per event. Every text
+is answered from tables: the validated days, every ``HH:MM`` and every seconds
+field. A day not yet in the table is checked once (ASCII digits, then
+:class:`datetime.date`) and added, so each key passed the full check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ MinuteOfDay = int
 
 DEFAULT_MAX_GAP_WEEKS = 3
 
-_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", re.ASCII)
+_DAY_RE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
 # ISO week of each validated ``YYYY-mm-dd`` prefix. A pure function of its
 # key, so sharing it across engines is safe; cleared whenever it fills, so
@@ -43,6 +44,20 @@ class TimestampError(ValueError):
     """Raised for text that is not a valid UTC timestamp."""
 
 
+def _week_of_new_day(day: str) -> Period | None:
+    """The ISO week of a valid ``YYYY-mm-dd`` day, now cached; else None."""
+    if _DAY_RE.fullmatch(day) is None:
+        return None
+    try:
+        iso_year, iso_week, _ = date(int(day[:4]), int(day[5:7]), int(day[8:])).isocalendar()
+    except ValueError:
+        return None
+    if len(_week_of_day) >= DAY_CACHE_SIZE:
+        _week_of_day.clear()
+    period = _week_of_day[day] = iso_year * 100 + iso_week
+    return period
+
+
 def parse_timestamp(text: str) -> tuple[Period, MinuteOfDay]:
     """Parse ``YYYY-mm-ddTHH:MM:ssZ`` into its ISO week and minute of day.
 
@@ -52,29 +67,11 @@ def parse_timestamp(text: str) -> tuple[Period, MinuteOfDay]:
     validated, then truncated.
     """
     if len(text) == 20 and text[10] == "T" and text[16] == ":" and text[19] == "Z":
-        period = _week_of_day.get(text[:10])
+        period = _week_of_day.get(text[:10]) or _week_of_new_day(text[:10])
         minute = _MINUTE_OF_CLOCK.get(text[11:16])
         if period is not None and minute is not None and text[17:19] in _SECONDS:
             return period, minute
-    if _TIMESTAMP_RE.fullmatch(text) is None:
-        raise TimestampError(f"invalid timestamp {text!r}, expected YYYY-mm-ddTHH:MM:ssZ")
-    # Every field sits at a fixed offset: ``\d`` matches one code point.
-    day = text[:10]
-    period = _week_of_day.get(day)
-    if period is None:
-        try:
-            iso_year, iso_week, _ = date(int(text[0:4]), int(text[5:7]),
-                                         int(text[8:10])).isocalendar()
-        except ValueError as exc:
-            raise TimestampError(f"invalid timestamp {text!r}: {exc}") from exc
-        period = iso_year * 100 + iso_week
-        if len(_week_of_day) >= DAY_CACHE_SIZE:
-            _week_of_day.clear()
-        _week_of_day[day] = period  # only days that passed ``date``
-    hour, minute = int(text[11:13]), int(text[14:16])
-    if hour > 23 or minute > 59 or int(text[17:19]) > 59:
-        raise TimestampError(f"invalid timestamp {text!r}: time out of range")
-    return period, hour * 60 + minute
+    raise TimestampError(f"invalid timestamp {text!r}, expected YYYY-mm-ddTHH:MM:ssZ")
 
 
 def period_start(period: Period) -> date:

@@ -1,7 +1,7 @@
 """Command-line front end: ``monitor run`` and ``monitor replay-trace``.
 
 Exit codes: 0 success, 1 runtime failure (unreadable input, bad snapshot,
-failed trace checkpoint), 2 invalid configuration.
+failed trace checkpoint), 2 invalid configuration or an output naming an input.
 """
 
 from __future__ import annotations
@@ -135,10 +135,8 @@ def _write_state(path: str, snapshot: dict[str, Any]) -> None:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-        except FileNotFoundError:
-            pass
         raise
 
 
@@ -147,8 +145,16 @@ class _AlertWriteError(Exception):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # An output naming an input destroys it unread (--state-out is written last).
+    for out, inputs in ((args.alerts, (args.input, args.config, args.state_in)),
+                        (args.state_out, (args.input, args.config))):
+        if out not in (None, "-") and os.path.exists(out) and any(
+                i not in (None, "-") and os.path.exists(i) and os.path.samefile(out, i)
+                for i in inputs):
+            print(f"error: output {out} is also an input file", file=sys.stderr)
+            return EXIT_CONFIG
     try:
-        config = load_config(args.config, _collect_overrides(args))
+        config = load_config(args.config, overrides := _collect_overrides(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -164,7 +170,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except RestoreError as exc:
             print(f"error: bad state file {args.state_in}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        if restored.config != config:
+        if (args.config is not None or overrides) and restored.config != config:
             print("warning: requested configuration differs from the snapshot's; "
                   "using the snapshot configuration for state consistency",
                   file=sys.stderr)

@@ -52,9 +52,9 @@ from .astd import (
     Automaton,
     Flow,
     Interleave,
-    InterleaveInstance,
     Transition,
     build,
+    step,  # the engine's one call into the interpreter per event
 )
 from .calendar_periods import (
     DEFAULT_MAX_GAP_WEEKS,
@@ -141,7 +141,9 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class AlertRecord:
-    """One anomalous event: its density was at or below the threshold."""
+    """One anomalous event, its density at or below the threshold. Only what
+    ``stream.alert_to_json`` writes as JSON constructs: these exact types (an
+    int threshold too), finite numbers and no subclass."""
 
     event_id: str
     user_id: str
@@ -151,10 +153,14 @@ class AlertRecord:
     threshold: float
 
     def __post_init__(self):
-        if self.density > self.threshold:
-            raise ValueError(
-                f"alert density {self.density} exceeds threshold {self.threshold}"
-            )
+        if not (type(self) is AlertRecord and type(self.event_id) is type(self.user_id) is str
+                and type(self.period) is type(self.minute) is int and type(self.density) is float
+                and type(self.threshold) in (float, int)):
+            kinds = [type(v).__name__ for v in vars(self).values()]
+            raise TypeError(f"{type(self).__name__} of {kinds}: an alert holds str, str, int, "
+                            f"int, float and a float or int")
+        if not -sys.float_info.max <= self.density <= self.threshold <= sys.float_info.max:
+            raise ValueError(f"density {self.density!r} not finite or above a finite threshold")
 
 
 @dataclass
@@ -418,11 +424,6 @@ def make_registry(config: DetectorConfig, *,
         "profile_exists": _profile_exists,
         "check_event": _check_event,
     }
-
-
-# The engine's one call into the interpreter per event: the root
-# interleave's step, bound directly so that no wrapper sits in between.
-step = InterleaveInstance._step
 
 
 # --------------------------------------------------------------------------

@@ -122,10 +122,6 @@ class KdeProfile:
                 and np.array_equal(self.sample, other.sample)
                 and np.array_equal(self.densities, other.densities))
 
-    @property
-    def sample_count(self) -> int:
-        return self.sample.size
-
 
 def _read_only(value: object, dtype: type | None = None) -> np.ndarray:
     """``value`` as a read-only array that nothing else can write through.

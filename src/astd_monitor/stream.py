@@ -18,12 +18,12 @@ then every accumulated week in ascending order (``weeks``), how many of
 them are used (``used``), the alert history, and the profile as the minutes
 its refit read of weeks that have left the window since (``dropped``) and
 how many leading minutes it read of each used week (``counts``). Restore
-checks each user through ``MonitorEngine.adopt_user``'s own check, the one
-every way in takes, then rebuilds the sample from the checked minutes and
-refits it with the refit's own bandwidth rule (the config's fixed value, or
-Silverman's recomputed from the sample), so the densities come back bit for
-bit (given the same numpy and libm builds), and resuming from a snapshot is
-equivalent to an uninterrupted run.
+takes the document's JSON text, checks each user through
+``MonitorEngine.adopt_user``'s own check, the one every way in takes, then
+refits the sample from the checked minutes with the refit's own bandwidth
+rule (the config's fixed value, or Silverman's recomputed from the sample),
+so the densities come back bit for bit (given the same numpy and libm
+builds): resuming from a snapshot is equivalent to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -130,18 +130,13 @@ class RunStats:
 
 
 _ALERT_LINE = '{"event_id":%s,"user_id":%s,"period":%d,"minute":%d,"density":%r,"threshold":%r}'
-_quote, _MAX = json.encoder.encode_basestring_ascii, sys.float_info.max  # json's own C quoting
+_quote = json.encoder.encode_basestring_ascii  # json's own C quoting
 
 
 def alert_to_json(alert: AlertRecord) -> str:
-    """``json.dumps(vars(alert), separators=(",", ":"))``, byte for byte: from one
-    template when the fields have check_event's types and finite numbers."""
-    if type(alert) is AlertRecord:
-        e, u, p, m, d, t = vars(alert).values()
-        if (type(e) is str and type(u) is str and type(p) is int and type(m) is int
-                and type(d) is float and type(t) in (float, int) and -_MAX <= d <= t <= _MAX):
-            return _ALERT_LINE % (_quote(e), _quote(u), p, m, d, t)
-    return json.dumps(vars(alert), separators=(",", ":"))
+    """``json.dumps(vars(alert), separators=(",", ":"))``, byte for byte."""
+    e, u, p, m, d, t = vars(alert).values()
+    return _ALERT_LINE % (_quote(e), _quote(u), p, m, d, t)
 
 
 ProgressHook = Callable[[int, Sequence[MonitorEngine]], None]
@@ -326,17 +321,16 @@ def _state_from_json(data: Any, where: str) -> EntityState:
                        accumulated_periods=periods[used:], profile=None, alerts=alerts)
 
 
-def restore_state(snapshot: Mapping[str, Any] | str) -> MonitorEngine:
-    """Rebuild an engine from a snapshot document (parsed or raw JSON text).
+def restore_state(text: str) -> MonitorEngine:
+    """Rebuild an engine from the JSON text of a snapshot document.
 
     Raises RestoreError naming the offending location on any corruption.
     """
-    if isinstance(snapshot, str):
-        try:
-            snapshot = json.loads(snapshot)
-        except (RecursionError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise RestoreError(f"invalid JSON: {exc}") from exc
-    if not isinstance(snapshot, Mapping):
+    try:
+        snapshot = json.loads(text)
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise RestoreError(f"invalid JSON: {exc}") from exc
+    if not isinstance(snapshot, dict):
         raise RestoreError("snapshot: expected a JSON object")
     schema = snapshot.get("schema")
     if schema != STATE_SCHEMA:

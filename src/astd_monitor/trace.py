@@ -100,7 +100,7 @@ def _facts(engine: MonitorEngine, state: EntityState, alerts: list[str],
         "stale week not recorded": 202221 not in state.events_by_week,
         "events per week": {p: len(state.events_by_week[p]) for p in state.used_periods},
         "profile refits so far": engine.profiles_computed,
-        "profile sample count": None if state.profile is None else state.profile.sample_count,
+        "profile sample count": None if state.profile is None else state.profile.sample.size,
         "alerts": alerts,
         "profile unchanged by the advance":
             last_profile is not None and state.profile == last_profile,

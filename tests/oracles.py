@@ -10,8 +10,8 @@ package's own interpreter, as the engine does, but parses with the oracle's
 own ``period_of``/``minute_of`` and collects alerts from its own hook.
 ``datetime_timestamp`` keeps the package's former timestamp parser,
 which defines which strings are timestamps. ``parse_timestamp_reference`` and
-``parse_record_reference`` keep the package's ingest before its fast paths
-(the regex path alone, and ``json.loads``), as the referee of those paths;
+``parse_record_reference`` keep the package's ingest before its tables and
+scanner (a full-text regex parser, and ``json.loads``), as their referee;
 ``alert_to_json_reference`` keeps its alert line before the template, one
 ``json.dumps`` call, as the referee of that."""
 

@@ -147,7 +147,7 @@ def _assert_answered_as_the_regex_path(text):
 
 
 # Each is one character or field away from the table path's shape, on a day
-# the cache holds.
+# the cache holds and again with the cache empty.
 TABLE_PATH_EDGES = [
     "2022-06-22T10:15:00Z",   # the table path itself
     "2022-06-22t10:15:00Z",   # lower-case t
@@ -163,9 +163,12 @@ TABLE_PATH_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("text", TABLE_PATH_EDGES)
-def test_table_path_edges_answer_as_the_regex_path(monkeypatch, text):
-    monkeypatch.setattr(calendar_periods, "_week_of_day", {"2022-06-22": 202225})
+@pytest.mark.parametrize("text, cached", [
+    *(pytest.param(text, {"2022-06-22": 202225}, id=text) for text in TABLE_PATH_EDGES),
+    *(pytest.param(text, {}, id=f"{text}-empty-cache") for text in TABLE_PATH_EDGES),
+])
+def test_table_path_edges_answer_as_the_regex_path(monkeypatch, text, cached):
+    monkeypatch.setattr(calendar_periods, "_week_of_day", dict(cached))
     _assert_answered_as_the_regex_path(text)
 
 

@@ -241,6 +241,43 @@ def test_run_state_in_runs_under_the_snapshot_config_and_warns(tmp_path, config_
             for line in (tmp_path / "a.ldjson").read_text().splitlines()] == ["e13"]
 
 
+def test_run_state_in_without_config_flags_does_not_warn(tmp_path, trace_input, capsys):
+    # A snapshot under a config that is not the default: a resume that asks for
+    # no config runs under it and has nothing to warn about.
+    state = tmp_path / "state.json"
+    assert run_cli(["run", "--input", str(trace_input), "--alerts", str(tmp_path / "a.ldjson"),
+                    "--state-out", str(state), "--k", "5"]) == 0
+    capsys.readouterr()
+    assert run_cli(["run", "--input", str(trace_input), "--alerts", str(tmp_path / "b.ldjson"),
+                    "--state-in", str(state), "--state-out", str(state)]) == 0
+    assert "requested configuration differs" not in capsys.readouterr().err
+    assert json.loads(state.read_text())["config"]["k"] == 5
+
+
+@pytest.mark.parametrize("output, victim", [
+    ("--alerts", "--input"), ("--alerts", "--config"), ("--alerts", "--state-in"),
+    ("--state-out", "--input"), ("--state-out", "--config"),
+])
+def test_run_output_naming_an_input_exits_2_and_keeps_it(tmp_path, trace_input, config_file,
+                                                         capsys, output, victim):
+    state = tmp_path / "state.json"
+    assert run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"), "--state-out", str(state)]) == 0
+    capsys.readouterr()
+    paths = {"--input": trace_input, "--config": config_file, "--state-in": state,
+             "--alerts": tmp_path / "b.ldjson"}
+    before = {path: path.read_bytes() for path in paths.values() if path.exists()}
+    # The same file under another name, through a subdirectory and back.
+    (tmp_path / "sub").mkdir()
+    paths[output] = f"{tmp_path}/sub/../{paths[victim].name}"
+    args = ["run"]
+    for flag, path in paths.items():
+        args += [flag, str(path)]
+    assert run_cli(args) == 2
+    assert f"error: output {paths[output]} is also an input file" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in before} == before
+
+
 def test_run_bad_workers_exits_2(tmp_path, trace_input, config_file, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(["run", "--input", str(trace_input), "--config", str(config_file),

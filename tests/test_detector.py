@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 import warnings
 import weakref
@@ -201,7 +202,7 @@ def test_first_week_past_the_full_window_triggers_a_refit():
     assert attrs["accumulated_periods"] == [202229]
     assert refresh_profile(attrs, CONFIG) is True
     assert attrs["start_kde"] is False
-    assert attrs["user_kde"].sample_count == 10
+    assert attrs["user_kde"].sample.size == 10
     assert 202221 not in attrs["events_by_week"]
 
 
@@ -575,7 +576,7 @@ def test_each_user_is_one_dict_of_the_declared_attributes():
     assert set(attrs) == declared
     assert EntityState.capture(attrs) == engine.entity_state(TRACE_USER)
     # adopt_user builds the dict itself, on both ways in: restore and adoption.
-    restored = restore_state(dump_state(engine))
+    restored = restore_state(json.dumps(dump_state(engine)))
     adopted = MonitorEngine(CONFIG)
     installed = adopted.adopt_user(TRACE_USER, engine.entity_state(TRACE_USER))
     for heir in (restored, adopted):

@@ -118,7 +118,7 @@ def test_bandwidth_is_bit_exact_on_degenerate_samples(sample):
 def test_fit_peak_sits_on_the_sample_point():
     profile = fit_profile([720] * 7, 5.0)
     assert int(np.argmax(profile.densities)) == 720
-    assert profile.sample_count == 7
+    assert profile.sample.size == 7
     assert profile.bandwidth == 5.0
 
 
@@ -442,7 +442,7 @@ def test_profile_keeps_its_sample_in_fit_order_read_only():
     sample = np.array([900, 30, 720, 30])
     profile = fit_profile(sample, 5.0)
     assert profile.sample.tolist() == [900, 30, 720, 30]
-    assert profile.sample_count == 4
+    assert profile.sample.size == 4
     with pytest.raises(ValueError):
         profile.sample[0] = 1
     assert sample.flags.writeable  # the caller's array is copied, not frozen

@@ -292,27 +292,22 @@ _ids = st.text(st.one_of(st.sampled_from(_ID_CHARS), st.characters(exclude_categ
 _floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([-0.0, 5e-324, sys.float_info.min, sys.float_info.max,
                                      -sys.float_info.max]))
-# Values check_event never writes: other types, NaN and +-inf, and ints of
-# over 4,300 digits, which neither writer may turn into a string.
-_ODD = st.sampled_from([None, "x", 7, 1.5, True, False, 10**400, 10**4301, -(10**5000),
-                        math.nan, math.inf, -math.inf, np.float64(1e-5), np.float64(math.nan)])
+# Week and minute ints of any size, also of over 4,300 digits, which neither
+# writer may turn into a string.
+_ints = st.one_of(st.integers(), st.sampled_from([10**400, 10**4301, -(10**5000)]))
 
 
 @st.composite
 def alert_records(draw):
-    """AlertRecords with the field types check_event writes (an int threshold
-    too), up to two fields swapped for an odd value, the density and the
-    threshold in whichever order the constructor accepts."""
-    fields = [draw(_ids), draw(_ids), draw(st.integers()), draw(st.integers()),
-              draw(_floats), draw(st.one_of(_floats, st.integers()))]
-    for i in draw(st.sets(st.integers(0, 5), max_size=2)):
-        fields[i] = draw(_ODD)
-    for density, threshold in ((fields[4], fields[5]), (fields[5], fields[4])):
-        try:
-            return AlertRecord(*fields[:4], density, threshold)
-        except (ValueError, TypeError):  # density above threshold, or not comparable
-            pass
-    assume(False)
+    """AlertRecords of every kind the constructor admits: ids of any text, ints
+    of any size, finite float densities and thresholds (an int one too)."""
+    density, threshold = draw(_floats), draw(st.one_of(_floats, st.integers()))
+    if type(threshold) is float and density > threshold:
+        density, threshold = threshold, density
+    try:
+        return AlertRecord(draw(_ids), draw(_ids), draw(_ints), draw(_ints), density, threshold)
+    except ValueError:  # an int threshold below the density
+        assume(False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -331,10 +326,39 @@ def _written(encode, alert):
 @example(alert=AlertRecord("e13", "u1", 202225, 0, 6.1e-310, 0.001))
 @example(alert=AlertRecord("\ud800\U0001f600\u2028\"\\", "\x00", 202225, 1439, -0.0, 1))
 @example(alert=AlertRecord("e1", "u1", 10**5000, 0, 0.0, 1.0))
-@example(alert=AlertRecord("e1", "u1", 202225, 0, -math.inf, 1.0))
-@example(alert=_NotedAlert("e1", "u1", 202225, 0, 0.0, 1.0))
 def test_alert_to_json_writes_what_json_dumps_writes(alert):
     assert _written(alert_to_json, alert) == _written(alert_to_json_reference, alert)
+
+
+# What the alert line cannot write as JSON, each once: NaN and +-inf (which
+# json.dumps writes as NaN and Infinity), an int threshold beyond a float, and
+# values of other types (bool, np.float64, None, an int density).
+@pytest.mark.parametrize("fields, error", [
+    (("e", "u", 1, 2, math.nan, 0.5), ValueError),
+    (("e", "u", 1, 2, 0.1, math.nan), ValueError),
+    (("e", "u", 1, 2, -math.inf, 0.5), ValueError),
+    (("e", "u", 1, 2, 0.1, math.inf), ValueError),
+    (("e", "u", 1, 2, -math.inf, math.inf), ValueError),
+    (("e", "u", 1, 2, 0.1, 10**400), ValueError),
+    (("e", "u", True, 2, 0.1, 0.5), TypeError),
+    (("e", "u", 1, False, 0.1, 0.5), TypeError),
+    (("e", "u", 1, 2, 0.1, True), TypeError),
+    (("e", "u", 1, 2, np.float64(0.1), 0.5), TypeError),
+    (("e", "u", 1, 2, 0.1, np.float64(0.5)), TypeError),
+    (("e", "u", 1, 2, np.float64(math.nan), 0.5), TypeError),
+    ((None, "u", 1, 2, 0.1, 0.5), TypeError),
+    (("e", None, 1, 2, 0.1, 0.5), TypeError),
+    (("e", "u", None, 2, 0.1, 0.5), TypeError),
+    (("e", "u", 1, 2, 0, 1), TypeError),
+])
+def test_alert_record_refuses_what_the_alert_line_cannot_write(fields, error):
+    with pytest.raises(error):
+        AlertRecord(*fields)
+
+
+def test_alert_record_refuses_a_subclass():
+    with pytest.raises(TypeError, match="_NotedAlert"):
+        _NotedAlert("e1", "u1", 202225, 0, 0.0, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -523,7 +547,7 @@ def test_restore_names_the_corrupt_location(mutate, location):
     doc = json.loads(json.dumps(dump_state(engines[0])))
     mutate(doc)
     with pytest.raises(RestoreError, match=location):
-        restore_state(doc)
+        restore_state(json.dumps(doc))
 
 
 @pytest.mark.parametrize("threshold", [math.inf, math.nan])
@@ -542,7 +566,7 @@ def test_restore_rejects_a_state_1_snapshot_naming_both_schemas():
     doc = dump_state(engines[0])
     doc["schema"] = "astd-monitor/state/1"
     with pytest.raises(RestoreError) as info:
-        restore_state(doc)
+        restore_state(json.dumps(doc))
     message = str(info.value)
     assert "'astd-monitor/state/1'" in message
     assert "'astd-monitor/state/4'" in message
