@@ -1,7 +1,8 @@
 """Command-line front end: ``monitor run`` and ``monitor replay-trace``.
 
 Exit codes: 0 success, 1 runtime failure (unreadable input, bad snapshot,
-failed trace checkpoint), 2 invalid configuration or an output naming an input.
+failed trace checkpoint), 2 invalid configuration or an output naming an input
+or the other output.
 """
 
 from __future__ import annotations
@@ -140,19 +141,33 @@ def _write_state(path: str, snapshot: dict[str, Any]) -> None:
         raise
 
 
+def _file_id(path: str | int) -> object:
+    """(device, inode) of an existing file or descriptor, else the real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path) if isinstance(path, str) else object()
+    return st.st_dev, st.st_ino
+
+
 class _AlertWriteError(Exception):
     """Writing an alert failed; keeps sink errors apart from input errors."""
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # An output naming an input destroys it unread (--state-out is written last).
-    for out, inputs in ((args.alerts, (args.input, args.config, args.state_in)),
-                        (args.state_out, (args.input, args.config))):
-        if out not in (None, "-") and os.path.exists(out) and any(
-                i not in (None, "-") and os.path.exists(i) and os.path.samefile(out, i)
-                for i in inputs):
+    # An output naming an input destroys it unread, and alerts naming the
+    # snapshot are replaced by it (--state-out is written last).
+    source = 0 if args.input == "-" else args.input
+    alerts = None if args.alerts == "-" else args.alerts
+    for out, inputs in ((alerts, (source, args.config, args.state_in)),
+                        (args.state_out, (source, args.config))):
+        if out is not None and any(i is not None and _file_id(i) == _file_id(out)
+                                   for i in inputs):
             print(f"error: output {out} is also an input file", file=sys.stderr)
             return EXIT_CONFIG
+    if None not in (args.state_out, alerts) and _file_id(alerts) == _file_id(args.state_out):
+        print(f"error: --alerts and --state-out name the same file {alerts}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = load_config(args.config, overrides := _collect_overrides(args))
     except ConfigError as exc:

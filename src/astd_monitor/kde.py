@@ -14,7 +14,7 @@ beyond which it underflows to +0.0. There are three evaluation paths:
   evaluates the kernel at the m offsets of the scored minute and adds the
   terms in sample order;
 * medium ones (m <= _DIRECT_PATH_MAX) compute the offset table once per
-  fit and add one table slice per sample, in sample order, into a
+  grid and add one table slice per sample, in sample order, into a
   1440-float accumulator;
 * large ones bin the samples per minute and convolve the counts with the
   table (exact, not an approximation), asking ``np.convolve`` for only the
@@ -25,12 +25,13 @@ with them to float64 accuracy but not bit for bit; it has the bits of the
 full convolution, because numpy computes each output with the same dot
 product whichever outputs it is asked for. Grid paths sum the table times
 2^64: the same bits, without subnormal arithmetic (see ``_scaled_table``).
+A grid is built at a profile's first score: a fit never scored builds none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ MIN_BANDWIDTH = 1.0
 # moving this crossover changes alert bytes even where it would save time.
 _DIRECT_PATH_MAX = 256
 
-# Largest sample fitted without a grid: density_at sums the direct path's terms
+# Largest sample scored without a grid: density_at sums the direct path's terms
 # at the scored minute in the same order, so this cut-off moves time, not bits.
 # In-process (2-vCPU Xeon VM, numpy 2.4, Silverman h) a grid fit costs 29-44 us
 # at m <= 32 against 8-9 us without, and a score 0.1 against 3.3 us: the grid
@@ -71,49 +72,55 @@ _SCALE = 2.0 ** 64
 @dataclass(frozen=True, eq=False)
 class KdeProfile:
     """A fitted profile: the sample (in fit order), the bandwidth and the
-    distance rule that produced it, and the density per grid minute when the
-    fit built that grid. ``fit_profile(sample, bandwidth, circular)``
+    distance rule that produced it. ``fit_profile(sample, bandwidth, circular)``
     rebuilds the same densities bit for bit.
 
-    A profile fitted without a grid (``grid=None``, small windows) scores
-    each minute with the direct sum and computes ``densities`` on demand,
-    without keeping them.
+    A profile of more than _GRID_FREE_MAX samples builds the density per grid
+    minute at its first score (or read of ``densities``) and keeps it as
+    ``grid``, which is None until then. A smaller one keeps no grid: it scores
+    each minute with the direct sum and computes ``densities`` on demand.
 
     Two profiles are equal when their bandwidths, samples (in order) and
     densities are all equal.
     """
 
-    grid: np.ndarray | None
     bandwidth: float
     sample: np.ndarray
     circular: bool = False
+    grid: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.bandwidth > 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        x = _read_only(self.sample)
+        # A read-only array that owns its data is kept; anything else, a
+        # caller's array in particular, is copied, never frozen in place.
+        x = np.asarray(self.sample)
+        if x.flags.writeable or not x.flags.owndata:
+            x = x.copy()
+            x.setflags(write=False)
         if x.ndim != 1 or x.size < 1 or x.dtype.kind not in "iu":
             raise ValueError(f"sample must be a non-empty 1-D integer array, "
                              f"got dtype {x.dtype} and shape {x.shape}")
         object.__setattr__(self, "sample", x)
-        if self.grid is None:
-            return
-        dens = _read_only(self.grid, np.float64)
-        if dens.shape != (GRID_MINUTES,):
-            raise ValueError(f"profile must hold {GRID_MINUTES} densities, got shape {dens.shape}")
-        if np.any(dens < 0.0) or not np.all(np.isfinite(dens)):
-            raise ValueError("densities must be finite and non-negative")
-        object.__setattr__(self, "grid", dens)
 
     @property
     def densities(self) -> np.ndarray:
         """The density at every grid minute, read-only. A grid-free profile
         computes them on each access."""
-        if self.grid is not None:
-            return self.grid
+        if self.sample.size > _GRID_FREE_MAX:
+            return self.grid if self.grid is not None else self._build_grid()
         dens = _direct_grid(self.sample, self.bandwidth, self.circular)
         dens.setflags(write=False)
         return dens
+
+    def _build_grid(self) -> np.ndarray:
+        # A pure function of the frozen fields: a profile shared by two
+        # engines gives the same grid whichever builds it.
+        grid_of = _direct_grid if self.sample.size <= _DIRECT_PATH_MAX else _binned_grid
+        grid = grid_of(self.sample, self.bandwidth, self.circular)
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        return grid
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KdeProfile):
@@ -121,17 +128,6 @@ class KdeProfile:
         return (self.bandwidth == other.bandwidth
                 and np.array_equal(self.sample, other.sample)
                 and np.array_equal(self.densities, other.densities))
-
-
-def _read_only(value: object, dtype: type | None = None) -> np.ndarray:
-    """``value`` as a read-only array that nothing else can write through.
-    A read-only array that owns its data is kept as it is; anything else,
-    a caller's array in particular, is copied, never frozen in place."""
-    a = np.asarray(value, dtype=dtype)
-    if a.flags.writeable or not a.flags.owndata:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
 
 
 def select_bandwidth(sample: Sequence[MinuteOfDay]) -> float:
@@ -240,26 +236,17 @@ def fit_profile(
     the plain linear domain, which under-weights activity that straddles
     midnight.
     """
-    m = len(sample)
-    if m == 0:
-        raise ValueError("cannot fit a profile from an empty sample")
-    # A copy, never a view of the caller's array. It and the grid are made
-    # read-only here, so the profile keeps both without copying them again.
+    # A copy, never a view of the caller's array, made read-only here so the
+    # profile keeps it without copying it again.
     x = np.array(sample, dtype=np.int64)
+    if x.size == 0:
+        raise ValueError("cannot fit a profile from an empty sample")
     if bandwidth is None:
         bandwidth = select_bandwidth(x)
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    if x.size and (x.min() < 0 or x.max() >= GRID_MINUTES):
+    if x.min() < 0 or x.max() >= GRID_MINUTES:
         raise ValueError("sample minutes must lie in [0, 1439]")
     x.setflags(write=False)
-
-    if m <= _GRID_FREE_MAX:
-        return KdeProfile(None, float(bandwidth), x, circular)
-    grid_of = _direct_grid if m <= _DIRECT_PATH_MAX else _binned_grid
-    dens = grid_of(x, bandwidth, circular)
-    dens.setflags(write=False)
-    return KdeProfile(dens, float(bandwidth), x, circular)
+    return KdeProfile(float(bandwidth), x, circular)
 
 
 def density_at(profile: KdeProfile, minute: MinuteOfDay) -> float:
@@ -271,6 +258,8 @@ def density_at(profile: KdeProfile, minute: MinuteOfDay) -> float:
     if grid is not None:
         return float(grid[minute])
     x = profile.sample
+    if x.size > _GRID_FREE_MAX:
+        return float(profile._build_grid()[minute])
     dist = np.abs(x - minute)
     if profile.circular:
         dist = np.minimum(dist, GRID_MINUTES - dist)

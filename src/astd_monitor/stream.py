@@ -21,9 +21,11 @@ how many leading minutes it read of each used week (``counts``). Restore
 takes the document's JSON text, checks each user through
 ``MonitorEngine.adopt_user``'s own check, the one every way in takes, then
 refits the sample from the checked minutes with the refit's own bandwidth
-rule (the config's fixed value, or Silverman's recomputed from the sample),
-so the densities come back bit for bit (given the same numpy and libm
-builds): resuming from a snapshot is equivalent to an uninterrupted run.
+rule (the config's fixed value, or Silverman's recomputed from the sample).
+Like every refit it installs the sample and the bandwidth and builds no
+grid (a profile builds it at its first score), and the densities come back
+bit for bit (given the same numpy and libm builds): resuming from a
+snapshot is equivalent to an uninterrupted run.
 """
 
 from __future__ import annotations

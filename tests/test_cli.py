@@ -278,6 +278,42 @@ def test_run_output_naming_an_input_exits_2_and_keeps_it(tmp_path, trace_input, 
     assert {path: path.read_bytes() for path in before} == before
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_run_alerts_and_state_out_naming_one_file_exits_2_and_keeps_it(
+        tmp_path, trace_input, config_file, capsys, exists):
+    # The snapshot, written last, would replace every alert line.
+    target = tmp_path / "x"
+    if exists:
+        target.write_bytes(b"kept\n")
+    (tmp_path / "sub").mkdir()
+    code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(target), "--state-out", f"{tmp_path}/sub/../x"])
+    assert code == 2
+    assert f"error: --alerts and --state-out name the same file {target}" in capsys.readouterr().err
+    assert (target.read_bytes() == b"kept\n") if exists else not target.exists()
+
+
+@pytest.mark.parametrize("output", ["--alerts", "--state-out"])
+def test_run_stdin_input_naming_an_output_exits_2_and_keeps_it(tmp_path, trace_input,
+                                                              config_file, output):
+    src = Path(astd_monitor.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    paths = {"--alerts": tmp_path / "a.ldjson", "--state-out": tmp_path / "state.json"}
+    paths[output] = trace_input
+    before = trace_input.read_bytes()
+    args = [sys.executable, "-m", "astd_monitor.cli", "run", "--input", "-",
+            "--config", str(config_file)]
+    for flag, path in paths.items():
+        args += [flag, str(path)]
+    with open(trace_input, "rb") as stdin:
+        proc = subprocess.run(args, stdin=stdin, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert f"error: output {trace_input} is also an input file" in proc.stderr.decode()
+    assert trace_input.read_bytes() == before
+    assert not any(path.exists() for path in paths.values() if path != trace_input)
+
+
 def test_run_bad_workers_exits_2(tmp_path, trace_input, config_file, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(["run", "--input", str(trace_input), "--config", str(config_file),

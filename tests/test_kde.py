@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from astd_monitor.detector import (
     EntityState,
     MonitorEngine,
 )
+from astd_monitor import kde
 from astd_monitor.kde import (
     _DIRECT_PATH_MAX,
     _GRID_FREE_MAX,
@@ -322,10 +324,48 @@ def test_density_at_equals_the_profile_densities():
         sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
         for circular in (False, True):
             profile = fit_profile(sample, 6.0, circular=circular)
-            assert (profile.grid is None) == (m <= _GRID_FREE_MAX)
-            densities = profile.densities
-            for g in (0, sample[0], 720, GRID_MINUTES - 1):
+            assert profile.grid is None  # the fit builds no grid
+            densities = fit_profile(sample, 6.0, circular=circular).densities
+            assert density_at(profile, sample[0]) == densities[sample[0]]
+            grid = profile.grid
+            assert (grid is None) == (m <= _GRID_FREE_MAX)  # the first score builds it
+            for g in (0, 720, GRID_MINUTES - 1):
                 assert density_at(profile, g) == densities[g]
+            assert profile.grid is grid  # and later scores keep it
+
+
+@pytest.mark.parametrize("m", [40, 300])  # direct grid, binned grid
+@pytest.mark.parametrize("circular", [False, True])
+def test_unscored_densities_are_the_grid_the_first_score_builds(m, circular):
+    sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
+    unscored = fit_profile(sample, None, circular=circular).densities
+    scored = fit_profile(sample, None, circular=circular)
+    density_at(scored, sample[-1])
+    assert np.array_equal(unscored, scored.grid)
+    oracle = broadcast_kde if m <= _DIRECT_PATH_MAX else convolve_kde
+    assert np.array_equal(unscored, oracle(sample, scored.bandwidth, circular))
+
+
+@pytest.mark.parametrize("m", [40, 300])  # direct grid, binned grid
+def test_restore_builds_no_grid_and_the_first_score_builds_one(monkeypatch, m):
+    sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
+    engine = MonitorEngine(DetectorConfig())
+    engine.adopt_user("u", EntityState(
+        events_by_week={202225: sample}, used_periods=[202225],
+        accumulated_periods=[], profile=fit_profile(sample), alerts=[]))
+    text = json.dumps(dump_state(engine))
+    calls = []
+    for name in ("_direct_grid", "_binned_grid"):
+        def counted(*args, _grid_of=getattr(kde, name)):
+            calls.append(_grid_of)
+            return _grid_of(*args)
+        monkeypatch.setattr(kde, name, counted)
+    restored = restore_state(text)
+    profile = restored.entity_state("u").profile
+    assert calls == [] and profile.grid is None
+    restored.process("e1", "u", 202225, sample[0])
+    restored.process("e2", "u", 202225, sample[1])
+    assert len(calls) == 1 and profile.grid is not None  # the restored profile's
 
 
 def test_density_at_rejects_out_of_range():
@@ -338,7 +378,7 @@ def test_density_at_rejects_out_of_range():
 
 # Scoring without a grid must give the direct path's bits at every minute,
 # for every m the direct path covers, so _GRID_FREE_MAX can move freely: the
-# profile is built grid-free directly, whatever the cut-off.
+# cut-off is raised to the direct path's for the test.
 @settings(deadline=None, max_examples=120)
 @given(shaped_samples(256), bandwidths, st.booleans())
 @example([0] * 256, 0.5, True)
@@ -346,11 +386,13 @@ def test_density_at_rejects_out_of_range():
 @example([1439], 2000.0, True)
 def test_grid_free_density_at_is_bit_exact_with_broadcast(sample, bandwidth, circular):
     h = silverman_numpy(sample) if bandwidth is None else bandwidth
-    profile = KdeProfile(None, h, np.array(sample), circular)
+    profile = KdeProfile(h, np.array(sample), circular)
     expected = broadcast_kde(sample, h, circular)
-    scored = np.array([density_at(profile, g) for g in range(GRID_MINUTES)])
+    with mock.patch.object(kde, "_GRID_FREE_MAX", _DIRECT_PATH_MAX):
+        scored = np.array([density_at(profile, g) for g in range(GRID_MINUTES)])
+        assert np.array_equal(profile.densities, expected)
+    assert profile.grid is None
     assert np.array_equal(scored, expected)
-    assert np.array_equal(profile.densities, expected)
 
 
 @settings(deadline=None, max_examples=40)
@@ -393,49 +435,47 @@ def test_grid_free_profiles_restore_bit_for_bit(sample, circular, fixed):
 # --------------------------------------------------------------------------
 
 def test_profile_validation():
-    good = np.full(GRID_MINUTES, 1.0 / GRID_MINUTES)
     three = np.array([1, 2, 3])
     with pytest.raises(ValueError):
-        KdeProfile(good[:100], 5.0, three)      # wrong length
+        KdeProfile(0.0, three)                           # non-positive bandwidth
     with pytest.raises(ValueError):
-        KdeProfile(good * -1.0, 5.0, three)     # negative densities
+        KdeProfile(float("nan"), three)                  # NaN bandwidth
     with pytest.raises(ValueError):
-        KdeProfile(good, 0.0, three)            # non-positive bandwidth
+        KdeProfile(5.0, np.array([], dtype=np.int64))    # zero samples
     with pytest.raises(ValueError):
-        KdeProfile(good, 5.0, np.array([], dtype=np.int64))  # zero samples
+        KdeProfile(5.0, np.array([1.0, 2.0]))            # non-integer sample
     with pytest.raises(ValueError):
-        KdeProfile(good, 5.0, np.array([1.0, 2.0]))          # non-integer sample
-    with pytest.raises(ValueError):
-        KdeProfile(good, 5.0, np.array([[1, 2]]))            # not one-dimensional
-    bad = good.copy()
-    bad[7] = np.nan
-    with pytest.raises(ValueError):
-        KdeProfile(bad, 5.0, three)             # non-finite density
+        KdeProfile(5.0, np.array([[1, 2]]))              # not one-dimensional
+    with pytest.raises(TypeError):
+        KdeProfile(None, 5.0, three, False)              # no grid argument
+    profile = KdeProfile(5.0, three)
+    assert profile.grid is None
+    with pytest.raises(AttributeError):
+        profile.grid = np.zeros(GRID_MINUTES)            # the profile builds its own
 
 
 def test_profile_leaves_the_callers_arrays_writeable():
     sample = np.array([1, 2, 3])
-    grid = np.full(GRID_MINUTES, 1.0 / GRID_MINUTES)
     frozen_view = sample.view()
     frozen_view.setflags(write=False)
-    profiles = [KdeProfile(None, 5.0, sample), KdeProfile(grid, 5.0, sample),
-                KdeProfile(None, 5.0, frozen_view)]
-    assert sample.flags.writeable and grid.flags.writeable
+    profiles = [KdeProfile(5.0, sample), KdeProfile(5.0, frozen_view)]
+    assert sample.flags.writeable
     for profile in profiles:
         assert not profile.sample.flags.writeable
-    assert not profiles[1].grid.flags.writeable
     # the caller's later writes do not reach the profiles
     sample[0] = 7
-    grid[0] = 1.0
     for profile in profiles:
         assert profile.sample.tolist() == [1, 2, 3]
-    assert profiles[1].grid[0] == 1.0 / GRID_MINUTES
 
 
 def test_profile_densities_are_read_only():
-    profile = fit_profile([720], 5.0)
-    with pytest.raises(ValueError):
-        profile.densities[0] = 1.0
+    for m in (1, 40, 300):  # grid-free, direct grid, binned grid
+        profile = fit_profile([720] * m, 5.0)
+        with pytest.raises(ValueError):
+            profile.densities[0] = 1.0
+        density_at(profile, 720)  # before and after the first score
+        with pytest.raises(ValueError):
+            profile.densities[0] = 1.0
 
 
 def test_profile_keeps_its_sample_in_fit_order_read_only():
@@ -454,8 +494,12 @@ def test_profiles_compare_by_bandwidth_sample_and_densities():
     assert not profile != fit_profile([1, 2, 3], 5.0)
     assert profile != fit_profile([1, 2, 3], 6.0)         # bandwidth
     assert profile != fit_profile([3, 2, 1], 5.0)         # sample order
-    assert profile != KdeProfile(profile.densities * 0.5, 5.0, profile.sample)
-    assert profile == KdeProfile(profile.densities, 5.0, profile.sample)  # grid or not
+    assert profile != KdeProfile(5.0, profile.sample, circular=True)  # densities
+    assert profile == KdeProfile(5.0, profile.sample)
+    sample = list(range(600, 640))
+    scored = fit_profile(sample, 5.0)
+    density_at(scored, 600)
+    assert scored == fit_profile(sample, 5.0)             # grid built or not
     assert profile != "profile"
     with pytest.raises(TypeError):
         hash(profile)
