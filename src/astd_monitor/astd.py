@@ -203,8 +203,6 @@ def _validate(node: AstdNode, registry: Registry, top: AstdNode) -> None:
         _check_ref(registry, node.action, "action", node)
 
     if isinstance(node, Automaton):
-        if not node.states:
-            raise BuildError(f"automaton {node.name!r} has no states")
         if node.initial not in node.states:
             raise BuildError(f"automaton {node.name!r} initial state {node.initial!r} unknown")
         for tr in node.transitions:

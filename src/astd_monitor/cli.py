@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import os
 import sys
-from typing import Any, TextIO
+from typing import Any
 
 from .detector import ConfigError, DetectorConfig
 from .stream import alert_to_json, dump_state, restore_state, run_monitor, RestoreError
@@ -85,11 +84,6 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> DetectorConfig:
     return DetectorConfig.from_dict(values)
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict[str, Any]:
-    return {field: value for field, _, _ in _CONFIG_KEYS.values()
-            if (value := getattr(args, field)) is not None}
-
-
 def _warn_threshold(config: DetectorConfig) -> None:
     if config.threshold >= UNIFORM_DENSITY:
         print(f"warning: threshold {config.threshold:g} is at or above the uniform "
@@ -131,7 +125,7 @@ def _write_state(path: str, snapshot: dict[str, Any]) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh)
+            fh.write(json.dumps(snapshot))  # the C encoder; json.dump's is pure Python
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -168,8 +162,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if None not in (args.state_out, alerts) and _file_id(alerts) == _file_id(args.state_out):
         print(f"error: --alerts and --state-out name the same file {alerts}", file=sys.stderr)
         return EXIT_CONFIG
+    overrides = {field: value for field, _, _ in _CONFIG_KEYS.values()
+                 if (value := getattr(args, field)) is not None}
     try:
-        config = load_config(args.config, overrides := _collect_overrides(args))
+        config = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -195,25 +191,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _warn_threshold(config)
 
     with contextlib.ExitStack() as files:
-        if args.input == "-":
-            # Strict UTF-8 whatever the locale, as a file is read. Detached,
-            # not closed, at the end, so stdin itself stays open.
-            source: TextIO = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
-            files.callback(source.detach)
-        else:
-            try:
-                source = files.enter_context(open(args.input, "r", encoding="utf-8"))
-            except OSError as exc:
-                print(f"error: cannot read input {args.input}: {exc}", file=sys.stderr)
-                return EXIT_RUNTIME
-        if args.alerts == "-":
-            alert_file: TextIO = sys.stdout
-        else:
-            try:
-                alert_file = files.enter_context(open(args.alerts, "w", encoding="utf-8"))
-            except OSError as exc:
-                print(f"error: cannot write alerts to {args.alerts}: {exc}", file=sys.stderr)
-                return EXIT_RUNTIME
+        try:  # strict UTF-8 whatever the locale; fd 0 stays open (EBADF if closed)
+            source = files.enter_context(open(source, encoding="utf-8", closefd=source != 0))
+        except OSError as exc:
+            print(f"error: cannot read input {args.input}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        try:
+            alert_file = (sys.stdout if alerts is None
+                          else files.enter_context(open(alerts, "w", encoding="utf-8")))
+        except OSError as exc:
+            print(f"error: cannot write alerts to {args.alerts}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
         def emit(alert) -> None:
             try:

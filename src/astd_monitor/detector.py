@@ -41,11 +41,13 @@ head week is refused, and its event not recorded, when it lies more than
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from bisect import insort
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping, MutableMapping
+from typing import Any, Callable, Iterator, Mapping, MutableMapping
 
 from .astd import (
     AttributeDecl,
@@ -210,10 +212,7 @@ class EntityState:
             for a, b in zip(periods, periods[1:]):
                 if a >= b:
                     raise ValueError(f"{name} not strictly ascending: {a} before {b}")
-        if acc:
-            overlap = set(used) & set(acc)
-            if overlap:
-                raise ValueError(f"used and accumulated periods overlap: {sorted(overlap)}")
+        if acc:  # both ascend, so used[-1] < acc[0] also rules out a shared week
             if not used:
                 raise ValueError("accumulated periods present with an empty window")
             if used[-1] >= acc[0]:
@@ -446,6 +445,19 @@ class _Tally:
         self.refits += 1
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, if on, until the block exits: user
+    state built in bulk holds no cycles, so a collection would free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class MonitorEngine:
     """Runs the interpreted composition one event at a time and collects alerts."""
 
@@ -490,6 +502,7 @@ class MonitorEngine:
         attrs = self._root.children.get(user_id)
         return None if attrs is None else EntityState.capture(attrs)
 
+    @gc_paused()
     def export_users(self) -> dict[str, EntityState]:
         return {user: EntityState.capture(attrs)
                 for user, attrs in self.attributes().items()}

@@ -25,7 +25,8 @@ rule (the config's fixed value, or Silverman's recomputed from the sample).
 Like every refit it installs the sample and the bandwidth and builds no
 grid (a profile builds it at its first score), and the densities come back
 bit for bit (given the same numpy and libm builds): resuming from a
-snapshot is equivalent to an uninterrupted run.
+snapshot is equivalent to an uninterrupted run. Restore and re-adoption run
+with the cyclic collector paused: the state they build holds no cycles.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .detector import (
     DetectorConfig,
     EntityState,
     MonitorEngine,
+    gc_paused,
 )
 from .kde import KdeProfile, fit_profile
 
@@ -166,8 +168,8 @@ def run_monitor(source: Iterable[str], config: DetectorConfig,
         raise ConfigError(f"workers must be 1, got {workers}")
     engine = MonitorEngine(config)  # validates the config
     engines = [engine]
-    if initial_users:
-        for user_id, state in initial_users.items():
+    with gc_paused():
+        for user_id, state in (initial_users or {}).items():
             engine.adopt_user(user_id, state)
     emit = alert_sink if alert_sink is not None else (lambda alert: None)
 
@@ -323,6 +325,7 @@ def _state_from_json(data: Any, where: str) -> EntityState:
                        accumulated_periods=periods[used:], profile=None, alerts=alerts)
 
 
+@gc_paused()
 def restore_state(text: str) -> MonitorEngine:
     """Rebuild an engine from the JSON text of a snapshot document.
 

@@ -99,6 +99,10 @@ def test_build_rejects_unknown_states():
                     transitions=(Transition("e", "s0", "nowhere"),))
     with pytest.raises(BuildError, match="nowhere"):
         build(per_key(bad), {})
+    # No states: no initial state can be one of them.
+    bad = Automaton(name="a", states=(), initial="s0", transitions=())
+    with pytest.raises(BuildError, match="initial state 's0' unknown"):
+        build(per_key(bad), {})
 
 
 def test_build_rejects_duplicate_attribute_names():

@@ -14,6 +14,7 @@ import astd_monitor
 from astd_monitor import cli, detector
 from astd_monitor.cli import load_config, main, parse_config_text
 from astd_monitor.detector import ConfigError, DetectorConfig
+from astd_monitor.stream import dump_state, run_monitor
 from astd_monitor.trace import TRACE_EVENTS, TRACE_USER, run_trace
 
 CONFIG_TEXT = """\
@@ -357,6 +358,32 @@ def test_run_non_utf8_stdin_exits_1_under_the_c_locale(tmp_path, config_file):
     assert not state.exists()
 
 
+def test_run_with_stdin_closed_exits_1_without_traceback(tmp_path):
+    # Python sets sys.stdin to None when fd 0 is closed.
+    src = Path(astd_monitor.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    alerts = tmp_path / "a.ldjson"
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m astd_monitor.cli run --input - --alerts "$1" <&-',
+         sys.executable, str(alerts)],
+        capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    err = proc.stderr.decode("utf-8", "replace")
+    assert "error: cannot read input -: " in err
+    assert "Traceback" not in err
+    assert not alerts.exists()
+
+
+def test_state_out_writes_what_json_dumps_writes(tmp_path, trace_input, config_file):
+    state = tmp_path / "state.json"
+    assert run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
+                    "--alerts", str(tmp_path / "a.ldjson"), "--state-out", str(state)]) == 0
+    with open(trace_input, encoding="utf-8") as lines:
+        _, engines = run_monitor(lines, load_config(str(config_file), {}))
+    assert state.read_text(encoding="utf-8") == json.dumps(dump_state(engines))
+
+
 def test_run_failed_alert_write_exits_1_naming_the_alerts(tmp_path, trace_input,
                                                           config_file, monkeypatch,
                                                           capsys):
@@ -434,11 +461,10 @@ def test_failed_state_out_keeps_the_previous_snapshot(tmp_path, trace_input,
     before = state.read_bytes()
     files_before = sorted(tmp_path.iterdir())
 
-    def disk_full(obj, fh, **kwargs):
-        fh.write('{"schema": ')
+    def disk_full(fd):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(json, "dump", disk_full)
+    monkeypatch.setattr(os, "fsync", disk_full)  # the snapshot is written, not yet durable
     code = run_cli(["run", "--input", str(trace_input), "--config", str(config_file),
                     "--alerts", str(tmp_path / "a.ldjson"),
                     "--state-in", str(state), "--state-out", str(state)])

@@ -558,7 +558,7 @@ def test_adopt_user_installs_nothing_it_refuses():
     engine = MonitorEngine(CONFIG)
     overlapping = EntityState(events_by_week={202225: [540]}, used_periods=[202225],
                               accumulated_periods=[202225], profile=None, alerts=[])
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match="does not follow"):
         engine.adopt_user("u", overlapping)
     assert engine.users_seen == 0 and engine.entity_state("u") is None
 
@@ -614,7 +614,7 @@ def test_invariants_accept_a_valid_state():
 @pytest.mark.parametrize("overrides,message", [
     (dict(used_periods=[202227, 202225]), "ascending"),
     (dict(used_periods=[202225, 202225]), "ascending"),
-    (dict(used_periods=[202225], accumulated_periods=[202225]), "overlap"),
+    (dict(used_periods=[202225], accumulated_periods=[202225]), "does not follow"),
     (dict(used_periods=[202227], accumulated_periods=[202226]), "follow"),
     (dict(used_periods=[], accumulated_periods=[202226]), "empty window"),
     (dict(used_periods=[202225, 202226]), "not the used and accumulated weeks"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -408,6 +409,72 @@ def test_restore_rejects_truncated_document():
 def test_restore_refuses_text_the_decoder_refuses(text):
     with pytest.raises(RestoreError, match="^invalid JSON: "):
         restore_state(text)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("call", ["restore", "restore-corrupt", "export", "export-mid-step",
+                                  "readopt", "readopt-unreachable"])
+def test_checkpoint_calls_leave_the_collector_as_they_found_it(call, enabled):
+    text = json.dumps(dump_state(run_monitor(trace_lines(), CONFIG, None)[1]))
+    restored = restore_state(text)
+    mid_step = restore_state(text)
+    mid_step.attributes()[TRACE_USER]["start_kde"] = True
+    unreachable = EntityState(events_by_week={202225: [540], 202229: [600]},
+                              used_periods=[202225], accumulated_periods=[202229],
+                              profile=None, alerts=[])
+    calls = {
+        "restore": (lambda: restore_state(text), None),
+        "restore-corrupt": (lambda: restore_state(text.replace("540", "1440")), RestoreError),
+        "export": (restored.export_users, None),
+        "export-mid-step": (mid_step.export_users, ValueError),
+        "readopt": (lambda: run_monitor([], CONFIG, None,
+                                        initial_users=restored.export_users()), None),
+        "readopt-unreachable": (lambda: run_monitor([], CONFIG, None,
+                                                    initial_users={"u": unreachable}),
+                                ValueError),
+    }
+    function, error = calls[call]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            function()
+        else:
+            with pytest.raises(error):
+                function()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_restore_runs_no_cyclic_collection():
+    # Each user's weeks, lists and dicts, from the parsed JSON through the
+    # adopted copies, would set off dozens of young collections.
+    user = {"weeks": {"202225": [540, 570, 600], "202227": [555, 585]}, "used": 2,
+            "alerts": ["e1"], "profile": None}
+    text = json.dumps({"schema": "astd-monitor/state/4", "config": CONFIG.to_dict(),
+                       "users": {f"u{i}": user for i in range(2500)}})
+    body = getattr(restore_state, "__wrapped__", restore_state).__code__
+    inside, after = [], []
+
+    def count(phase, info):
+        if phase == "start":
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not body:
+                frame = frame.f_back
+            (after if frame is None else inside).append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        assert restore_state(text).users_seen == 2500
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    assert inside == []
+    # What the pause built is scanned once, by the first collection after it.
+    assert len(after) <= 1
 
 
 def _user(d):
