@@ -7,25 +7,16 @@ of thumb with a one-minute floor. Scoring an event needs the density at
 its minute only.
 
 Samples are integer minutes, so the kernel is only ever evaluated at the
-2879 integer offsets -1439..1439, and only out to the distance h*sqrt(1520)
-beyond which it underflows to +0.0. There are three evaluation paths:
-
-* small samples (m <= _GRID_FREE_MAX) keep no grid: ``density_at``
-  evaluates the kernel at the m offsets of the scored minute and adds the
-  terms in sample order;
-* medium ones (m <= _DIRECT_PATH_MAX) compute the offset table once per
-  grid and add one table slice per sample, in sample order, into a
-  1440-float accumulator;
-* large ones bin the samples per minute and convolve the counts with the
-  table (exact, not an approximation), asking ``np.convolve`` for only the
-  1440 outputs that fall on the grid.
-
-The first two give the same bits at every minute. The binned sum agrees
-with them to float64 accuracy but not bit for bit; it has the bits of the
-full convolution, because numpy computes each output with the same dot
-product whichever outputs it is asked for. Grid paths sum the table times
-2^64: the same bits, without subnormal arithmetic (see ``_scaled_table``).
-A grid is built at a profile's first score: a fit never scored builds none.
+2879 integer offsets -1439..1439, out to h*sqrt(1520), beyond which it is
++0.0. A profile of m <= _GRID_FREE_MAX samples keeps no grid: a score adds
+the kernel at the m offsets in sample order. A larger one fills a grid at
+its first score: up to _DIRECT_PATH_MAX by adding one table slice per
+sample in sample order (the same bits), beyond by convolving the per-minute
+counts with the table (exact, but with other low bits). numpy computes each
+convolution output with the same dot product whichever outputs a call asks
+for, so a kernel that spans the day fills only the _BLOCK minutes around a
+score, at that block's first score, with the whole grid's bits. Grid paths
+sum the table times 2^64: the same bits, without subnormal arithmetic.
 """
 
 from __future__ import annotations
@@ -54,6 +45,14 @@ _DIRECT_PATH_MAX = 256
 # Sparse windows (m <= 32) get 2.5; disorder's direct-path ones (m > 128) 59.
 _GRID_FREE_MAX = 32
 
+# Minutes per block of a day-spanning grid, each filled at its first score.
+# bench/run.py disorder seed 1, 2-vCPU Xeon VM: 180 cut event_p99_us 222 -> 111
+# us for 4.5% of events_per_s (10 alternating pairs); in 4 rounds against 180,
+# 90 cut p99 13% more for 6% of events_per_s, 240 won 4% back for 4% more p99.
+# Over 1, or a block's table slice is no longer than the counts: numpy would
+# then swap no operands and sum in the other order.
+_BLOCK = 180
+
 # Every grid-to-sample distance 0..1439, and the distance of each offset
 # -1439..1439 folded the shortest way around midnight (index 1439 is offset 0).
 _DISTANCES = np.arange(GRID_MINUTES, dtype=np.float64)
@@ -75,10 +74,12 @@ class KdeProfile:
     distance rule that produced it. ``fit_profile(sample, bandwidth, circular)``
     rebuilds the same densities bit for bit.
 
-    A profile of more than _GRID_FREE_MAX samples builds the density per grid
-    minute at its first score (or read of ``densities``) and keeps it as
-    ``grid``, which is None until then. A smaller one keeps no grid: it scores
-    each minute with the direct sum and computes ``densities`` on demand.
+    A profile of more than _GRID_FREE_MAX samples keeps its density per grid
+    minute in ``grid``, None until its first score (or read of ``densities``).
+    That score fills the whole grid; if the kernel spans the day, each score
+    fills only the _BLOCK minutes that hold its minute, where NaN marks them
+    unfilled. A smaller profile keeps no grid: it scores each minute with the
+    direct sum and computes ``densities`` on demand.
 
     Two profiles are equal when their bandwidths, samples (in order) and
     densities are all equal.
@@ -106,21 +107,26 @@ class KdeProfile:
     @property
     def densities(self) -> np.ndarray:
         """The density at every grid minute, read-only. A grid-free profile
-        computes them on each access."""
-        if self.sample.size > _GRID_FREE_MAX:
-            return self.grid if self.grid is not None else self._build_grid()
-        dens = _direct_grid(self.sample, self.bandwidth, self.circular)
-        dens.setflags(write=False)
-        return dens
+        computes them on each access; another fills what its grid lacks."""
+        if self.sample.size <= _GRID_FREE_MAX:
+            dens = _grid_part(self.sample, self.bandwidth, self.circular, 0)
+            dens.setflags(write=False)
+            return dens
+        for minute in range(0, GRID_MINUTES, _BLOCK):
+            density_at(self, minute)
+        return self.grid
 
-    def _build_grid(self) -> np.ndarray:
-        # A pure function of the frozen fields: a profile shared by two
-        # engines gives the same grid whichever builds it.
-        grid_of = _direct_grid if self.sample.size <= _DIRECT_PATH_MAX else _binned_grid
-        grid = grid_of(self.sample, self.bandwidth, self.circular)
+    def _fill(self, minute: int) -> float:
+        # A pure function of the frozen fields: any engine fills the same bits.
+        block = minute - minute % _BLOCK
+        grid = dens = _grid_part(self.sample, self.bandwidth, self.circular, block)
+        if dens.size < GRID_MINUTES:
+            grid = np.full(GRID_MINUTES, math.nan) if self.grid is None else self.grid
+            grid.setflags(write=True)
+            grid[block : block + _BLOCK] = dens
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        return grid
+        return grid.item(minute)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KdeProfile):
@@ -183,43 +189,34 @@ def _scaled_table(bandwidth: float, circular: bool) -> np.ndarray:
     return table
 
 
-def _direct_grid(x: np.ndarray, bandwidth: float, circular: bool) -> np.ndarray:
-    """The direct sum at every grid minute, from one kernel table."""
-    kernel = _scaled_table(bandwidth, circular)
-    # The kernel centred on x_i is the table slice starting at 1439 - x_i.
-    # The slices are added into one accumulator left to right, in sample
-    # order, as summing their m x 1440 stack over axis 0 would: the
-    # densities' low bits depend on that order.
-    first, *rest = (GRID_MINUTES - 1 - x).tolist()
-    acc = kernel[first : first + GRID_MINUTES].copy()
-    for start in rest:
-        np.add(acc, kernel[start : start + GRID_MINUTES], out=acc)
-    acc /= _SCALE
-    return acc / (x.size * bandwidth)
-
-
-def _binned_grid(x: np.ndarray, bandwidth: float, circular: bool) -> np.ndarray:
-    """The per-minute counts convolved with the kernel table, at every grid
-    minute: the outputs full[r : r + 1440] of ``np.convolve(counts, k)``,
-    where k is the table with its exact-zero tails trimmed, L = 2r + 1 long."""
-    kernel = _scaled_table(bandwidth, circular)
-    counts = np.bincount(x, minlength=GRID_MINUTES).astype(np.float64)
-    # Trimming the symmetric exact-zero tails changes no sum and shortens it.
-    lo = int((kernel != 0.0).argmax())
-    k = kernel[lo : kernel.size - lo]
-    # Each mode computes an output with the same dot product as "full", so the
-    # grid's outputs alone keep their bits: "valid" gives full[1439 : 2879]
-    # (L = 2879), "same" the len(longer) outputs centred on the shorter one,
-    # full[r : r + 1440] when L <= 1440 and full[719 : 719 + L] otherwise.
-    if k.size == 2 * GRID_MINUTES - 1:
-        dens = np.convolve(counts, k, "valid")
-    elif k.size <= GRID_MINUTES:
-        dens = np.convolve(counts, k, "same")
+def _grid_part(x: np.ndarray, h: float, circular: bool, block: int) -> np.ndarray:
+    """The densities a score in the _BLOCK minutes from ``block`` fills: the
+    whole grid, or only those minutes' if a binned fit's kernel spans the day."""
+    kernel = _scaled_table(h, circular)
+    if x.size <= _DIRECT_PATH_MAX:
+        # Table slices (the kernel centred on x_i starts at 1439 - x_i) added
+        # left to right in sample order, as summing their m x 1440 stack over
+        # axis 0 would: the densities' low bits depend on that order.
+        first, *rest = (GRID_MINUTES - 1 - x).tolist()
+        acc = kernel[first : first + GRID_MINUTES].copy()
+        for i in rest:
+            np.add(acc, kernel[i : i + GRID_MINUTES], out=acc)
     else:
-        start = k.size // 2 - (GRID_MINUTES // 2 - 1)
-        dens = np.convolve(counts, k, "same")[start : start + GRID_MINUTES]
-    dens /= _SCALE
-    return dens / (x.size * bandwidth)
+        # Minute g is output r + g of np.convolve(counts, k), k the table less
+        # its exact-zero tails (L = 2r + 1). numpy computes each output with one
+        # dot product, over the same slices, whichever outputs a call asks for.
+        counts = np.bincount(x, minlength=GRID_MINUTES).astype(np.float64)
+        lo = 0 if kernel[0] != 0.0 else int((kernel != 0.0).argmax())
+        k = kernel[lo : kernel.size - lo]
+        if lo == 0:  # L = 2879: "valid" over the block's slice of k
+            acc = np.convolve(counts, k[block : block + _BLOCK + GRID_MINUTES - 1], "valid")
+        elif k.size <= GRID_MINUTES:  # "same" gives outputs r .. r + 1439
+            acc = np.convolve(counts, k, "same")
+        else:  # "same" gives outputs 719 .. 718 + L, sliced to the grid's
+            at = k.size // 2 - (GRID_MINUTES // 2 - 1)
+            acc = np.convolve(counts, k, "same")[at : at + GRID_MINUTES]
+    acc /= _SCALE
+    return acc / (x.size * h)
 
 
 def fit_profile(
@@ -250,20 +247,23 @@ def fit_profile(
 
 
 def density_at(profile: KdeProfile, minute: MinuteOfDay) -> float:
-    """Density at a grid minute: a lookup in the profile's grid, or else the
-    direct sum at that one minute, bit for bit the grid value it replaces."""
-    if not 0 <= minute < GRID_MINUTES:
-        raise ValueError(f"minute must lie in [0, 1439], got {minute}")
+    """Density at a grid minute: a lookup in the profile's grid (filled where it
+    lacks the minute), or else the direct sum there, bit for bit the same."""
+    if (type(minute) is not int and not isinstance(minute, np.integer)
+            or not 0 <= minute < GRID_MINUTES):
+        raise ValueError(f"minute must be an integer in [0, 1439], got {minute!r}")
     grid = profile.grid
     if grid is not None:
-        return float(grid[minute])
+        density = grid.item(minute)
+        if density == density:  # NaN: a block not filled yet
+            return density
     x = profile.sample
     if x.size > _GRID_FREE_MAX:
-        return float(profile._build_grid()[minute])
+        return profile._fill(minute)
     dist = np.abs(x - minute)
     if profile.circular:
         dist = np.minimum(dist, GRID_MINUTES - dist)
-    # np.add.accumulate adds left to right, in sample order, as _direct_grid
+    # np.add.accumulate adds left to right, in sample order, as _grid_part
     # adds its table slices; np.sum would add pairwise.
     total = np.add.accumulate(_kernel_over(dist, profile.bandwidth))[-1]
     return float(total / (x.size * profile.bandwidth))

@@ -23,7 +23,7 @@ takes the document's JSON text, checks each user through
 refits the sample from the checked minutes with the refit's own bandwidth
 rule (the config's fixed value, or Silverman's recomputed from the sample).
 Like every refit it installs the sample and the bandwidth and builds no
-grid (a profile builds it at its first score), and the densities come back
+grid (a profile fills it at its first scores), and the densities come back
 bit for bit (given the same numpy and libm builds): resuming from a
 snapshot is equivalent to an uninterrupted run. Restore and re-adoption run
 with the cyclic collector paused: the state they build holds no cycles.

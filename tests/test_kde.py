@@ -180,26 +180,53 @@ def test_fit_direct_path_is_bit_exact_with_broadcast(sample, bandwidth, circular
 # The binned path (m > 256) asks numpy for the grid's outputs only; they
 # must keep the bits of the former full convolution. The trimmed kernel's
 # length L picks the convolve mode: h = 5 gives L <= 1440, h = 25 gives
-# 1440 < L < 2879 and h = 60, or any circular fit, the untrimmed L = 2879.
+# 1440 < L < 2879 and h = 60, or any circular fit, the untrimmed L = 2879,
+# whose grid is filled one block at a time, at each block's first score. So
+# a fresh profile is scored in a drawn order (a few minutes, or some or all
+# of the day), and then its densities are read.
+EVERY_MINUTE_BACKWARDS = list(range(GRID_MINUTES - 1, -1, -1))
+BLOCK_EDGES = [kde._BLOCK, kde._BLOCK - 1, 0, GRID_MINUTES - 1, kde._BLOCK]
+
+
+@st.composite
+def scoring_orders(draw):
+    """A few minutes, repeats allowed, or the first n of a permutation of the
+    day, drawn from numpy by seed so a whole day stays cheap."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, GRID_MINUTES - 1), max_size=12))
+    n = draw(st.integers(0, GRID_MINUTES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.permutation(GRID_MINUTES)[:n].tolist()
+
+
 @settings(deadline=None, max_examples=150)
 @given(shaped_samples(3000, min_size=_DIRECT_PATH_MAX + 1),
-       st.one_of(st.none(), st.floats(0.3, 2000.0)), st.booleans())
-@example(list(range(0, 1440, 3)), 5.0, False)
-@example(list(range(0, 1440, 3)), 25.0, False)
-@example(list(range(0, 1440, 3)), 60.0, False)
-@example([0] * 300 + [1439] * 300, 5.0, True)
-@example(CLUSTERED, 12.0, False)
-@example(CLUSTERED, 36.9, False)
-@example(CLUSTERED, 37.0, False)
-@example(CLUSTERED, 38.9, False)
-@example(CLUSTERED, 39.1, False)
-@example(CLUSTERED, sys.float_info.max, False)
-@example(CLUSTERED, sys.float_info.max, True)
-def test_fit_binned_path_is_bit_exact_with_full_convolution(sample, bandwidth, circular):
+       st.one_of(st.none(), st.floats(0.3, 2000.0)), st.booleans(), scoring_orders())
+@example(list(range(0, 1440, 3)), 5.0, False, EVERY_MINUTE_BACKWARDS)
+@example(list(range(0, 1440, 3)), 25.0, False, BLOCK_EDGES)
+@example(list(range(0, 1440, 3)), 60.0, False, EVERY_MINUTE_BACKWARDS)
+@example(list(range(0, 1440, 3)), 60.0, False, BLOCK_EDGES)
+@example(list(range(0, 1440, 3)), 60.0, True, [])
+@example([0] * 300 + [1439] * 300, 5.0, True, BLOCK_EDGES)
+@example(CLUSTERED, 12.0, False, EVERY_MINUTE_BACKWARDS)
+@example(CLUSTERED, 36.9, False, BLOCK_EDGES)
+@example(CLUSTERED, 37.0, False, BLOCK_EDGES)
+@example(CLUSTERED, 38.9, False, EVERY_MINUTE_BACKWARDS)
+@example(CLUSTERED, 39.1, False, [600])
+@example(CLUSTERED, sys.float_info.max, False, BLOCK_EDGES)
+@example(CLUSTERED, sys.float_info.max, True, EVERY_MINUTE_BACKWARDS)
+def test_fit_binned_path_is_bit_exact_with_full_convolution(sample, bandwidth, circular,
+                                                            order):
     h = silverman_numpy(sample) if bandwidth is None else bandwidth
+    expected = convolve_kde(sample, h, circular)
     profile = fit_profile(sample, bandwidth, circular=circular)
     assert profile.bandwidth == h
-    assert np.array_equal(profile.densities, convolve_kde(sample, h, circular))
+    scored = np.array([density_at(profile, g) for g in order], dtype=np.float64)
+    assert np.array_equal(scored, expected[order])
+    assert profile.grid is None or not profile.grid.flags.writeable
+    densities = profile.densities
+    assert np.array_equal(densities, expected)
+    assert not densities.flags.writeable
 
 
 # Both grid paths sum the table scaled by 2^64, so no operation meets a
@@ -334,19 +361,30 @@ def test_density_at_equals_the_profile_densities():
             assert profile.grid is grid  # and later scores keep it
 
 
-@pytest.mark.parametrize("m", [40, 300])  # direct grid, binned grid
+# m = 300 with Silverman's bandwidth (about 120 minutes) is a binned fit
+# whose kernel spans the day: it fills one block per score.
+@pytest.mark.parametrize("m", [40, 300])  # direct grid, day-spanning binned grid
 @pytest.mark.parametrize("circular", [False, True])
 def test_unscored_densities_are_the_grid_the_first_score_builds(m, circular):
     sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
     unscored = fit_profile(sample, None, circular=circular).densities
     scored = fit_profile(sample, None, circular=circular)
     density_at(scored, sample[-1])
+    filled = ~np.isnan(scored.grid)
+    if m <= _DIRECT_PATH_MAX:
+        assert filled.all()  # the whole grid at the first score
+    else:  # only the block that holds the scored minute
+        assert _scaled_table(scored.bandwidth, circular)[0] != 0.0
+        block = np.arange(GRID_MINUTES) // kde._BLOCK == sample[-1] // kde._BLOCK
+        assert np.array_equal(filled, block)
+    assert np.array_equal(unscored[filled], scored.grid[filled])
+    assert scored.densities is scored.grid  # densities fills the rest in place
     assert np.array_equal(unscored, scored.grid)
     oracle = broadcast_kde if m <= _DIRECT_PATH_MAX else convolve_kde
     assert np.array_equal(unscored, oracle(sample, scored.bandwidth, circular))
 
 
-@pytest.mark.parametrize("m", [40, 300])  # direct grid, binned grid
+@pytest.mark.parametrize("m", [40, 300])  # direct grid, day-spanning binned grid
 def test_restore_builds_no_grid_and_the_first_score_builds_one(monkeypatch, m):
     sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
     engine = MonitorEngine(DetectorConfig())
@@ -355,17 +393,24 @@ def test_restore_builds_no_grid_and_the_first_score_builds_one(monkeypatch, m):
         accumulated_periods=[], profile=fit_profile(sample), alerts=[]))
     text = json.dumps(dump_state(engine))
     calls = []
-    for name in ("_direct_grid", "_binned_grid"):
-        def counted(*args, _grid_of=getattr(kde, name)):
-            calls.append(_grid_of)
-            return _grid_of(*args)
-        monkeypatch.setattr(kde, name, counted)
+    def counted(*args, _grid_part=kde._grid_part):
+        calls.append(args)
+        return _grid_part(*args)
+    monkeypatch.setattr(kde, "_grid_part", counted)
     restored = restore_state(text)
     profile = restored.entity_state("u").profile
     assert calls == [] and profile.grid is None
     restored.process("e1", "u", 202225, sample[0])
     restored.process("e2", "u", 202225, sample[1])
-    assert len(calls) == 1 and profile.grid is not None  # the restored profile's
+    if m <= _DIRECT_PATH_MAX:
+        assert len(calls) == 1 and profile.grid is not None  # the restored profile's
+        blocks = 1
+    else:  # one fill per block scored, of that block's minutes only
+        blocks = GRID_MINUTES // kde._BLOCK
+        assert len(calls) == len({sample[0] // kde._BLOCK, sample[1] // kde._BLOCK})
+        assert np.isnan(profile.grid).sum() == GRID_MINUTES - len(calls) * kde._BLOCK
+    profile.densities  # fills the blocks no score filled
+    assert len(calls) == blocks and not np.isnan(profile.grid).any()
 
 
 def test_density_at_rejects_out_of_range():
@@ -374,6 +419,21 @@ def test_density_at_rejects_out_of_range():
         density_at(profile, -1)
     with pytest.raises(ValueError):
         density_at(profile, 1440)
+
+
+# A minute is an int (a numpy integer too) in [0, 1439], whichever path
+# scores it: a bool or a float is refused before any lookup.
+# Grid-free, direct, binned with a short kernel, binned with a day-spanning one.
+@pytest.mark.parametrize("m, bandwidth", [(3, None), (40, None), (300, 5.0), (300, 60.0)])
+def test_density_at_refuses_a_bool_or_non_integer_minute(m, bandwidth):
+    sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
+    profile = fit_profile(sample, bandwidth)
+    for bad in (True, False, np.True_, 3.5, 600.0, np.float64(600.0), "600", None):
+        with pytest.raises(ValueError, match="minute must be an integer"):
+            density_at(profile, bad)
+    assert profile.grid is None
+    assert density_at(profile, np.int64(600)) == density_at(profile, 600)
+    assert density_at(profile, np.uint16(0)) == profile.densities[0]
 
 
 # Scoring without a grid must give the direct path's bits at every minute,
