@@ -8,15 +8,14 @@ its minute only.
 
 Samples are integer minutes, so the kernel is only ever evaluated at the
 2879 integer offsets -1439..1439, out to h*sqrt(1520), beyond which it is
-+0.0. A profile of m <= _GRID_FREE_MAX samples keeps no grid: a score adds
++0.0. A profile of m <= _DIRECT_PATH_MAX samples keeps no grid: a score adds
 the kernel at the m offsets in sample order. A larger one fills a grid at
-its first score: up to _DIRECT_PATH_MAX by adding one table slice per
-sample in sample order (the same bits), beyond by convolving the per-minute
-counts with the table (exact, but with other low bits). numpy computes each
-convolution output with the same dot product whichever outputs a call asks
-for, so a kernel that spans the day fills only the _BLOCK minutes around a
-score, at that block's first score, with the whole grid's bits. Grid paths
-sum the table times 2^64: the same bits, without subnormal arithmetic.
+its first score by convolving the per-minute counts with the table (exact,
+but with low bits other than the direct sum's), summing the table times
+2^64: the same bits, without subnormal arithmetic. numpy computes each convolution output with
+the same dot product whichever outputs a call asks for, so a kernel that
+spans the day fills only the _BLOCK minutes around a score, at that block's
+first score, with the whole grid's bits.
 """
 
 from __future__ import annotations
@@ -32,18 +31,12 @@ from astd_monitor.calendar_periods import MinuteOfDay
 GRID_MINUTES = 1440
 MIN_BANDWIDTH = 1.0
 
-# Largest sample summed slice by slice instead of by convolution. Each path's
-# summation order sets the low bits of the densities written to alerts, so
-# moving this crossover changes alert bytes even where it would save time.
+# Largest sample scored by the direct sum instead of a convolved grid. Each
+# path's summation order sets the low bits of the densities written to alerts,
+# so moving this crossover changes alert bytes even where it would save time.
+# In-process (2-vCPU Xeon VM, numpy 2.4, Silverman h) a direct score costs
+# 5.0-6.7 us at m = 33-256, where a whole grid of slice adds cost 44-233 us.
 _DIRECT_PATH_MAX = 256
-
-# Largest sample scored without a grid: density_at sums the direct path's terms
-# at the scored minute in the same order, so this cut-off moves time, not bits.
-# In-process (2-vCPU Xeon VM, numpy 2.4, Silverman h) a grid fit costs 29-44 us
-# at m <= 32 against 8-9 us without, and a score 0.1 against 3.3 us: the grid
-# pays after 7-11 scores per refit, 16 at m = 64, 25 at 128 and 37 at 256.
-# Sparse windows (m <= 32) get 2.5; disorder's direct-path ones (m > 128) 59.
-_GRID_FREE_MAX = 32
 
 # Minutes per block of a day-spanning grid, each filled at its first score.
 # bench/run.py disorder seed 1, 2-vCPU Xeon VM: 180 cut event_p99_us 222 -> 111
@@ -60,6 +53,7 @@ _OFFSETS = np.abs(np.arange(1 - GRID_MINUTES, GRID_MINUTES))
 _CIRCULAR_OFFSETS = np.minimum(_OFFSETS, GRID_MINUTES - _OFFSETS)
 _DISTANCES.setflags(write=False)
 _CIRCULAR_OFFSETS.setflags(write=False)
+_MINUTES = _DISTANCES[:, np.newaxis]  # every grid minute, as a column
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # exp(-0.5 * z * z) is an exact zero once z * z > 1491 (it underflows below
@@ -74,12 +68,12 @@ class KdeProfile:
     distance rule that produced it. ``fit_profile(sample, bandwidth, circular)``
     rebuilds the same densities bit for bit.
 
-    A profile of more than _GRID_FREE_MAX samples keeps its density per grid
-    minute in ``grid``, None until its first score (or read of ``densities``).
-    That score fills the whole grid; if the kernel spans the day, each score
-    fills only the _BLOCK minutes that hold its minute, where NaN marks them
-    unfilled. A smaller profile keeps no grid: it scores each minute with the
-    direct sum and computes ``densities`` on demand.
+    A profile of more than _DIRECT_PATH_MAX samples keeps its density per
+    grid minute in ``grid``, None until its first score (or read of
+    ``densities``). That score fills the whole grid; if the kernel spans the
+    day, each score fills only the _BLOCK minutes that hold its minute, where
+    NaN marks them unfilled. A smaller profile keeps no grid: it scores each
+    minute with the direct sum and computes ``densities`` on demand.
 
     Two profiles are equal when their bandwidths, samples (in order) and
     densities are all equal.
@@ -108,8 +102,8 @@ class KdeProfile:
     def densities(self) -> np.ndarray:
         """The density at every grid minute, read-only. A grid-free profile
         computes them on each access; another fills what its grid lacks."""
-        if self.sample.size <= _GRID_FREE_MAX:
-            dens = _grid_part(self.sample, self.bandwidth, self.circular, 0)
+        if self.sample.size <= _DIRECT_PATH_MAX:
+            dens = _direct_sum(self, _MINUTES)
             dens.setflags(write=False)
             return dens
         for minute in range(0, GRID_MINUTES, _BLOCK):
@@ -118,6 +112,7 @@ class KdeProfile:
 
     def _fill(self, minute: int) -> float:
         # A pure function of the frozen fields: any engine fills the same bits.
+        # Only a binned fit (more than _DIRECT_PATH_MAX samples) keeps a grid.
         block = minute - minute % _BLOCK
         grid = dens = _grid_part(self.sample, self.bandwidth, self.circular, block)
         if dens.size < GRID_MINUTES:
@@ -189,32 +184,35 @@ def _scaled_table(bandwidth: float, circular: bool) -> np.ndarray:
     return table
 
 
+def _direct_sum(profile: KdeProfile, minutes: int | np.ndarray) -> np.ndarray:
+    """The density at ``minutes``, an int or a column of them. The kernel's
+    terms are added left to right in sample order, as summing an m x 1440
+    stack over its first axis does; np.sum of one minute's m terms would add
+    them pairwise, with other low bits."""
+    x = profile.sample
+    dist = np.abs(x - minutes)
+    if profile.circular:
+        dist = np.minimum(dist, GRID_MINUTES - dist)
+    total = np.add.accumulate(_kernel_over(dist, profile.bandwidth), axis=-1)[..., -1]
+    return total / (x.size * profile.bandwidth)
+
+
 def _grid_part(x: np.ndarray, h: float, circular: bool, block: int) -> np.ndarray:
     """The densities a score in the _BLOCK minutes from ``block`` fills: the
-    whole grid, or only those minutes' if a binned fit's kernel spans the day."""
+    whole grid, or only those minutes' if the kernel spans the day.
+
+    Minute g is output r + g of np.convolve(counts, k), k the table less its
+    exact-zero tails (L = 2r + 1). numpy computes each output with one dot
+    product, over the same slices, whichever outputs a call asks for."""
     kernel = _scaled_table(h, circular)
-    if x.size <= _DIRECT_PATH_MAX:
-        # Table slices (the kernel centred on x_i starts at 1439 - x_i) added
-        # left to right in sample order, as summing their m x 1440 stack over
-        # axis 0 would: the densities' low bits depend on that order.
-        first, *rest = (GRID_MINUTES - 1 - x).tolist()
-        acc = kernel[first : first + GRID_MINUTES].copy()
-        for i in rest:
-            np.add(acc, kernel[i : i + GRID_MINUTES], out=acc)
-    else:
-        # Minute g is output r + g of np.convolve(counts, k), k the table less
-        # its exact-zero tails (L = 2r + 1). numpy computes each output with one
-        # dot product, over the same slices, whichever outputs a call asks for.
-        counts = np.bincount(x, minlength=GRID_MINUTES).astype(np.float64)
-        lo = 0 if kernel[0] != 0.0 else int((kernel != 0.0).argmax())
-        k = kernel[lo : kernel.size - lo]
-        if lo == 0:  # L = 2879: "valid" over the block's slice of k
-            acc = np.convolve(counts, k[block : block + _BLOCK + GRID_MINUTES - 1], "valid")
-        elif k.size <= GRID_MINUTES:  # "same" gives outputs r .. r + 1439
-            acc = np.convolve(counts, k, "same")
-        else:  # "same" gives outputs 719 .. 718 + L, sliced to the grid's
-            at = k.size // 2 - (GRID_MINUTES // 2 - 1)
-            acc = np.convolve(counts, k, "same")[at : at + GRID_MINUTES]
+    counts = np.bincount(x, minlength=GRID_MINUTES).astype(np.float64)
+    lo = 0 if kernel[0] != 0.0 else int((kernel != 0.0).argmax())
+    k = kernel[lo : kernel.size - lo]
+    if lo == 0:  # L = 2879: "valid" over the block's slice of k
+        acc = np.convolve(counts, k[block : block + _BLOCK + GRID_MINUTES - 1], "valid")
+    else:  # "same" starts at output min(r, 719); the grid's are r .. r + 1439
+        at = max(0, (k.size + 1 - GRID_MINUTES) // 2)
+        acc = np.convolve(counts, k, "same")[at : at + GRID_MINUTES]
     acc /= _SCALE
     return acc / (x.size * h)
 
@@ -247,8 +245,8 @@ def fit_profile(
 
 
 def density_at(profile: KdeProfile, minute: MinuteOfDay) -> float:
-    """Density at a grid minute: a lookup in the profile's grid (filled where it
-    lacks the minute), or else the direct sum there, bit for bit the same."""
+    """Density at a grid minute: the direct sum there, or for a binned fit a
+    lookup in the profile's grid (filled where it lacks the minute)."""
     if (type(minute) is not int and not isinstance(minute, np.integer)
             or not 0 <= minute < GRID_MINUTES):
         raise ValueError(f"minute must be an integer in [0, 1439], got {minute!r}")
@@ -257,13 +255,6 @@ def density_at(profile: KdeProfile, minute: MinuteOfDay) -> float:
         density = grid.item(minute)
         if density == density:  # NaN: a block not filled yet
             return density
-    x = profile.sample
-    if x.size > _GRID_FREE_MAX:
+    if profile.sample.size > _DIRECT_PATH_MAX:
         return profile._fill(minute)
-    dist = np.abs(x - minute)
-    if profile.circular:
-        dist = np.minimum(dist, GRID_MINUTES - dist)
-    # np.add.accumulate adds left to right, in sample order, as _grid_part
-    # adds its table slices; np.sum would add pairwise.
-    total = np.add.accumulate(_kernel_over(dist, profile.bandwidth))[-1]
-    return float(total / (x.size * profile.bandwidth))
+    return float(_direct_sum(profile, minute))

@@ -23,10 +23,11 @@ takes the document's JSON text, checks each user through
 refits the sample from the checked minutes with the refit's own bandwidth
 rule (the config's fixed value, or Silverman's recomputed from the sample).
 Like every refit it installs the sample and the bandwidth and builds no
-grid (a profile fills it at its first scores), and the densities come back
-bit for bit (given the same numpy and libm builds): resuming from a
-snapshot is equivalent to an uninterrupted run. Restore and re-adoption run
-with the cyclic collector paused: the state they build holds no cycles.
+grid (a binned profile fills it at its first scores), and the densities
+come back bit for bit (given the same numpy and libm builds): resuming from
+a snapshot is equivalent to an uninterrupted run. Dump, restore and
+re-adoption run with the cyclic collector paused: what they build holds no
+cycles.
 """
 
 from __future__ import annotations
@@ -224,6 +225,7 @@ def _user_to_json(attrs: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
+@gc_paused()
 def dump_state(engine: MonitorEngine | Sequence[MonitorEngine]) -> dict[str, Any]:
     """Serialize engine state (one engine or the list ``run_monitor``
     returns) to a JSON document. Must be called at a step boundary."""

@@ -98,7 +98,7 @@ def test_the_smallest_fixed_bandwidth_fits_and_scores_without_overflow():
         for event_id, ts in TRACE_EVENTS:
             engine.process(event_id, TRACE_USER, *parse_timestamp(ts))
         assert engine.profiles_computed > 0
-        # Grid-free, direct-sum and binned fits, linear and circular.
+        # Direct-sum fits of 2 and 42 samples and a binned fit, linear and circular.
         for sample in ([0, 1439], [600] * 40 + [0, 1439], [600] * 300 + [0, 1439]):
             for circular in (False, True):
                 profile = fit_profile(sample, MIN_FIXED_BANDWIDTH, circular=circular)
@@ -413,8 +413,8 @@ def test_event_at_the_training_peak_is_normal():
 def test_check_event_alerts_at_exactly_the_threshold():
     ten_am = parse_timestamp("2022-06-22T10:00:00Z")
     midnight = parse_timestamp("2022-06-22T00:00:00Z")
-    # a grid-free profile (10 samples) and one with a grid (40 samples)
-    for m in (10, 40):
+    # direct-sum profiles of 10 and 40 samples, and one with a grid (300)
+    for m in (10, 40, 300):
         profile = fit_profile([600] * m, 5.0)
         d = density_at(profile, 600)
         for threshold, alerts in ((d, True), (d / 2, False)):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from astd_monitor.detector import (
 from astd_monitor import kde
 from astd_monitor.kde import (
     _DIRECT_PATH_MAX,
-    _GRID_FREE_MAX,
     _REACH_Z,
     GRID_MINUTES,
     KdeProfile,
@@ -346,7 +344,7 @@ def test_interior_samples_conserve_mass():
 # --------------------------------------------------------------------------
 
 def test_density_at_equals_the_profile_densities():
-    # one profile per evaluation path: grid-free, direct grid, binned grid
+    # direct sums of a few and of 40 samples, and a binned grid
     for m in (3, 40, 300):
         sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
         for circular in (False, True):
@@ -355,36 +353,39 @@ def test_density_at_equals_the_profile_densities():
             densities = fit_profile(sample, 6.0, circular=circular).densities
             assert density_at(profile, sample[0]) == densities[sample[0]]
             grid = profile.grid
-            assert (grid is None) == (m <= _GRID_FREE_MAX)  # the first score builds it
+            assert (grid is None) == (m <= _DIRECT_PATH_MAX)  # the first score builds it
             for g in (0, 720, GRID_MINUTES - 1):
                 assert density_at(profile, g) == densities[g]
             assert profile.grid is grid  # and later scores keep it
 
 
 # m = 300 with Silverman's bandwidth (about 120 minutes) is a binned fit
-# whose kernel spans the day: it fills one block per score.
-@pytest.mark.parametrize("m", [40, 300])  # direct grid, day-spanning binned grid
+# whose kernel spans the day: it fills one block per score. m = 40 is a
+# direct sum, which builds no grid at any score or read.
+@pytest.mark.parametrize("m", [40, 300])  # direct sum, day-spanning binned grid
 @pytest.mark.parametrize("circular", [False, True])
 def test_unscored_densities_are_the_grid_the_first_score_builds(m, circular):
     sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
     unscored = fit_profile(sample, None, circular=circular).densities
     scored = fit_profile(sample, None, circular=circular)
-    density_at(scored, sample[-1])
-    filled = ~np.isnan(scored.grid)
+    assert density_at(scored, sample[-1]) == unscored[sample[-1]]
     if m <= _DIRECT_PATH_MAX:
-        assert filled.all()  # the whole grid at the first score
+        assert scored.grid is None  # no grid at the first score
+        assert np.array_equal(unscored, scored.densities)
+        assert scored.grid is None  # nor when the densities are read
     else:  # only the block that holds the scored minute
+        filled = ~np.isnan(scored.grid)
         assert _scaled_table(scored.bandwidth, circular)[0] != 0.0
         block = np.arange(GRID_MINUTES) // kde._BLOCK == sample[-1] // kde._BLOCK
         assert np.array_equal(filled, block)
-    assert np.array_equal(unscored[filled], scored.grid[filled])
-    assert scored.densities is scored.grid  # densities fills the rest in place
-    assert np.array_equal(unscored, scored.grid)
+        assert np.array_equal(unscored[filled], scored.grid[filled])
+        assert scored.densities is scored.grid  # densities fills the rest in place
+        assert np.array_equal(unscored, scored.grid)
     oracle = broadcast_kde if m <= _DIRECT_PATH_MAX else convolve_kde
     assert np.array_equal(unscored, oracle(sample, scored.bandwidth, circular))
 
 
-@pytest.mark.parametrize("m", [40, 300])  # direct grid, day-spanning binned grid
+@pytest.mark.parametrize("m", [40, 300])  # direct sum, day-spanning binned grid
 def test_restore_builds_no_grid_and_the_first_score_builds_one(monkeypatch, m):
     sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
     engine = MonitorEngine(DetectorConfig())
@@ -402,15 +403,19 @@ def test_restore_builds_no_grid_and_the_first_score_builds_one(monkeypatch, m):
     assert calls == [] and profile.grid is None
     restored.process("e1", "u", 202225, sample[0])
     restored.process("e2", "u", 202225, sample[1])
-    if m <= _DIRECT_PATH_MAX:
-        assert len(calls) == 1 and profile.grid is not None  # the restored profile's
-        blocks = 1
+    if m <= _DIRECT_PATH_MAX:  # direct sums: no grid, scored or read
+        assert calls == [] and profile.grid is None
+        densities = profile.densities
+        assert calls == [] and profile.grid is None
+        oracle = broadcast_kde
     else:  # one fill per block scored, of that block's minutes only
-        blocks = GRID_MINUTES // kde._BLOCK
         assert len(calls) == len({sample[0] // kde._BLOCK, sample[1] // kde._BLOCK})
         assert np.isnan(profile.grid).sum() == GRID_MINUTES - len(calls) * kde._BLOCK
-    profile.densities  # fills the blocks no score filled
-    assert len(calls) == blocks and not np.isnan(profile.grid).any()
+        densities = profile.densities  # fills the blocks no score filled
+        assert len(calls) == GRID_MINUTES // kde._BLOCK
+        assert not np.isnan(profile.grid).any()
+        oracle = convolve_kde
+    assert np.array_equal(densities, oracle(profile.sample, profile.bandwidth))
 
 
 def test_density_at_rejects_out_of_range():
@@ -423,7 +428,8 @@ def test_density_at_rejects_out_of_range():
 
 # A minute is an int (a numpy integer too) in [0, 1439], whichever path
 # scores it: a bool or a float is refused before any lookup.
-# Grid-free, direct, binned with a short kernel, binned with a day-spanning one.
+# Direct sums of 3 and 40 samples, binned with a short kernel, binned with a
+# day-spanning one.
 @pytest.mark.parametrize("m, bandwidth", [(3, None), (40, None), (300, 5.0), (300, 60.0)])
 def test_density_at_refuses_a_bool_or_non_integer_minute(m, bandwidth):
     sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
@@ -436,27 +442,30 @@ def test_density_at_refuses_a_bool_or_non_integer_minute(m, bandwidth):
     assert density_at(profile, np.uint16(0)) == profile.densities[0]
 
 
-# Scoring without a grid must give the direct path's bits at every minute,
-# for every m the direct path covers, so _GRID_FREE_MAX can move freely: the
-# cut-off is raised to the direct path's for the test.
+# Scoring without a grid must give the broadcast oracle's bits at every
+# minute, for every m the direct sum covers; one sample more, the binned grid
+# gives the full convolution's.
 @settings(deadline=None, max_examples=120)
-@given(shaped_samples(256), bandwidths, st.booleans())
+@given(shaped_samples(_DIRECT_PATH_MAX), bandwidths, st.booleans())
 @example([0] * 256, 0.5, True)
 @example(list(range(0, 1280, 5)), None, False)
 @example([1439], 2000.0, True)
+@example(CLUSTERED[:_DIRECT_PATH_MAX], None, False)
+@example(CLUSTERED[:_DIRECT_PATH_MAX + 1], None, False)
+@example(CLUSTERED[:_DIRECT_PATH_MAX + 1], 60.0, True)
 def test_grid_free_density_at_is_bit_exact_with_broadcast(sample, bandwidth, circular):
     h = silverman_numpy(sample) if bandwidth is None else bandwidth
     profile = KdeProfile(h, np.array(sample), circular)
-    expected = broadcast_kde(sample, h, circular)
-    with mock.patch.object(kde, "_GRID_FREE_MAX", _DIRECT_PATH_MAX):
-        scored = np.array([density_at(profile, g) for g in range(GRID_MINUTES)])
-        assert np.array_equal(profile.densities, expected)
-    assert profile.grid is None
+    direct = len(sample) <= _DIRECT_PATH_MAX
+    expected = (broadcast_kde if direct else convolve_kde)(sample, h, circular)
+    scored = np.array([density_at(profile, g) for g in range(GRID_MINUTES)])
+    assert np.array_equal(profile.densities, expected)
+    assert (profile.grid is None) == direct
     assert np.array_equal(scored, expected)
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.lists(st.integers(0, GRID_MINUTES - 1), min_size=1, max_size=_GRID_FREE_MAX),
+@given(st.lists(st.integers(0, GRID_MINUTES - 1), min_size=1, max_size=_DIRECT_PATH_MAX),
        st.booleans())
 def test_small_window_profile_holds_no_grid(sample, circular):
     profile = fit_profile(sample, None, circular=circular)
@@ -469,7 +478,7 @@ def test_small_window_profile_holds_no_grid(sample, circular):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.lists(st.integers(0, GRID_MINUTES - 1), min_size=1, max_size=_GRID_FREE_MAX),
+@given(st.lists(st.integers(0, GRID_MINUTES - 1), min_size=1, max_size=_DIRECT_PATH_MAX),
        st.booleans(), st.one_of(st.none(), st.floats(0.5, 2000.0)))
 def test_grid_free_profiles_restore_bit_for_bit(sample, circular, fixed):
     if fixed is None:
@@ -529,7 +538,7 @@ def test_profile_leaves_the_callers_arrays_writeable():
 
 
 def test_profile_densities_are_read_only():
-    for m in (1, 40, 300):  # grid-free, direct grid, binned grid
+    for m in (1, 40, 300):  # direct sums, binned grid
         profile = fit_profile([720] * m, 5.0)
         with pytest.raises(ValueError):
             profile.densities[0] = 1.0

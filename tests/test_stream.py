@@ -413,7 +413,8 @@ def test_restore_refuses_text_the_decoder_refuses(text):
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("call", ["restore", "restore-corrupt", "export", "export-mid-step",
-                                  "readopt", "readopt-unreachable"])
+                                  "readopt", "readopt-unreachable", "dump",
+                                  "dump-mid-step"])
 def test_checkpoint_calls_leave_the_collector_as_they_found_it(call, enabled):
     text = json.dumps(dump_state(run_monitor(trace_lines(), CONFIG, None)[1]))
     restored = restore_state(text)
@@ -425,6 +426,8 @@ def test_checkpoint_calls_leave_the_collector_as_they_found_it(call, enabled):
     calls = {
         "restore": (lambda: restore_state(text), None),
         "restore-corrupt": (lambda: restore_state(text.replace("540", "1440")), RestoreError),
+        "dump": (lambda: dump_state(restored), None),
+        "dump-mid-step": (lambda: dump_state(mid_step), ValueError),
         "export": (restored.export_users, None),
         "export-mid-step": (mid_step.export_users, ValueError),
         "readopt": (lambda: run_monitor([], CONFIG, None,
@@ -447,33 +450,55 @@ def test_checkpoint_calls_leave_the_collector_as_they_found_it(call, enabled):
         (gc.enable if was else gc.disable)()
 
 
-def test_restore_runs_no_cyclic_collection():
-    # Each user's weeks, lists and dicts, from the parsed JSON through the
-    # adopted copies, would set off dozens of young collections.
-    user = {"weeks": {"202225": [540, 570, 600], "202227": [555, 585]}, "used": 2,
-            "alerts": ["e1"], "profile": None}
-    text = json.dumps({"schema": "astd-monitor/state/4", "config": CONFIG.to_dict(),
-                       "users": {f"u{i}": user for i in range(2500)}})
-    body = getattr(restore_state, "__wrapped__", restore_state).__code__
-    inside, after = [], []
+# Each user's weeks, lists and dicts, from the parsed JSON through the adopted
+# copies, or from the engine through the dumped document, would set off dozens
+# of young collections.
+CROWD_USER = {"weeks": {"202225": [540, 570, 600], "202227": [555, 585]}, "used": 2,
+              "alerts": ["e1"], "profile": None}
+CROWD_TEXT = json.dumps({"schema": "astd-monitor/state/4", "config": CONFIG.to_dict(),
+                         "users": {f"u{i}": CROWD_USER for i in range(2500)}})
+
+
+def collections_started(function, call):
+    """The generations of the collections that start while ``call()`` runs,
+    inside ``function``'s own body and outside it."""
+    body = getattr(function, "__wrapped__", function).__code__
+    inside, outside = [], []
 
     def count(phase, info):
         if phase == "start":
             frame = sys._getframe(1)
             while frame is not None and frame.f_code is not body:
                 frame = frame.f_back
-            (after if frame is None else inside).append(info["generation"])
+            (outside if frame is None else inside).append(info["generation"])
 
     was = gc.isenabled()
     gc.enable()
     gc.callbacks.append(count)
     try:
-        assert restore_state(text).users_seen == 2500
+        call()
     finally:
         gc.callbacks.remove(count)
         (gc.enable if was else gc.disable)()
+    return inside, outside
+
+
+def test_restore_runs_no_cyclic_collection():
+    engines = []
+    inside, after = collections_started(
+        restore_state, lambda: engines.append(restore_state(CROWD_TEXT)))
+    assert engines[0].users_seen == 2500
     assert inside == []
     # What the pause built is scanned once, by the first collection after it.
+    assert len(after) <= 1
+
+
+def test_dump_runs_no_cyclic_collection():
+    engine = restore_state(CROWD_TEXT)
+    docs = []
+    inside, after = collections_started(dump_state, lambda: docs.append(dump_state(engine)))
+    assert docs[0] == json.loads(CROWD_TEXT)
+    assert inside == []
     assert len(after) <= 1
 
 
@@ -768,7 +793,7 @@ def test_restored_profile_scores_like_the_original():
 
 def fixed_bandwidth_lines():
     """A seeded stream for a narrow fixed bandwidth: five users of 4 to 160
-    events per week (grid-free, direct and binned fits), and two active in
+    events per week (direct-sum and binned fits), and two active in
     one 31-minute band, the second across midnight, then probed 180-200
     minutes outside it, where h = 5 leaves subnormal or zero densities."""
     rng = np.random.default_rng(20221020)
