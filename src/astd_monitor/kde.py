@@ -7,15 +7,15 @@ of thumb with a one-minute floor. Scoring an event needs the density at
 its minute only.
 
 Samples are integer minutes, so the kernel is only ever evaluated at the
-2879 integer offsets -1439..1439, out to h*sqrt(1520), beyond which it is
-+0.0. A profile of m <= _DIRECT_PATH_MAX samples keeps no grid: a score adds
-the kernel at the m offsets in sample order. A larger one fills a grid at
-its first score by convolving the per-minute counts with the table (exact,
-but with low bits other than the direct sum's), summing the table times
-2^64: the same bits, without subnormal arithmetic. numpy computes each convolution output with
-the same dot product whichever outputs a call asks for, so a kernel that
-spans the day fills only the _BLOCK minutes around a score, at that block's
-first score, with the whole grid's bits.
+1440 distances 0..1439, folded around midnight on the circular day. A score
+adds its m terms in sample order: evaluated afresh for m <= _TABLE_FREE_MAX,
+else looked up in a table of every distance, built at the first score. Past
+_DIRECT_PATH_MAX samples, a first score fills a grid by convolving the
+per-minute counts with that table mirrored to offsets -1439..1439 (exact, but
+with low bits other than the direct sum's), times 2^64: the same bits, without
+subnormal arithmetic. numpy computes each convolution output with the same
+dot product whichever outputs a call asks for, so a kernel that spans the day
+fills only the _BLOCK minutes around a score, sharing one table across fills.
 """
 
 from __future__ import annotations
@@ -31,11 +31,15 @@ from astd_monitor.calendar_periods import MinuteOfDay
 GRID_MINUTES = 1440
 MIN_BANDWIDTH = 1.0
 
+# Largest sample scored with no table. Sparse scores its windows of <= 31
+# samples about 2.5 times each: an 11.5 KB table per user would save nothing.
+_TABLE_FREE_MAX = 32
+
 # Largest sample scored by the direct sum instead of a convolved grid. Each
 # path's summation order sets the low bits of the densities written to alerts,
 # so moving this crossover changes alert bytes even where it would save time.
-# In-process (2-vCPU Xeon VM, numpy 2.4, Silverman h) a direct score costs
-# 5.0-6.7 us at m = 33-256, where a whole grid of slice adds cost 44-233 us.
+# In-process (2-vCPU Xeon VM, numpy 2.4) a table-lookup score costs 2.2-3.4 us
+# at m = 33-256, where a whole grid of slice adds cost 44-233 us.
 _DIRECT_PATH_MAX = 256
 
 # Minutes per block of a day-spanning grid, each filled at its first score.
@@ -46,19 +50,16 @@ _DIRECT_PATH_MAX = 256
 # then swap no operands and sum in the other order.
 _BLOCK = 180
 
-# Every grid-to-sample distance 0..1439, and the distance of each offset
-# -1439..1439 folded the shortest way around midnight (index 1439 is offset 0).
-_DISTANCES = np.arange(GRID_MINUTES, dtype=np.float64)
+# Every grid-to-sample distance 0..1439, the same folded the shortest way
+# around midnight, and the distance of each offset -1439..1439.
+_DISTANCES = np.arange(GRID_MINUTES)
+_FOLDED = np.minimum(_DISTANCES, GRID_MINUTES - _DISTANCES)
 _OFFSETS = np.abs(np.arange(1 - GRID_MINUTES, GRID_MINUTES))
-_CIRCULAR_OFFSETS = np.minimum(_OFFSETS, GRID_MINUTES - _OFFSETS)
 _DISTANCES.setflags(write=False)
-_CIRCULAR_OFFSETS.setflags(write=False)
+_FOLDED.setflags(write=False)
 _MINUTES = _DISTANCES[:, np.newaxis]  # every grid minute, as a column
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-# exp(-0.5 * z * z) is an exact zero once z * z > 1491 (it underflows below
-# -745.2), so beyond z = sqrt(1520) every table entry is the +0.0 it would be.
-_REACH_Z = math.sqrt(1520.0)
 _SCALE = 2.0 ** 64
 
 
@@ -68,20 +69,21 @@ class KdeProfile:
     distance rule that produced it. ``fit_profile(sample, bandwidth, circular)``
     rebuilds the same densities bit for bit.
 
-    A profile of more than _DIRECT_PATH_MAX samples keeps its density per
-    grid minute in ``grid``, None until its first score (or read of
-    ``densities``). That score fills the whole grid; if the kernel spans the
-    day, each score fills only the _BLOCK minutes that hold its minute, where
-    NaN marks them unfilled. A smaller profile keeps no grid: it scores each
-    minute with the direct sum and computes ``densities`` on demand.
+    Past _TABLE_FREE_MAX samples it keeps the kernel at each distance 0..1439
+    in ``table``, built at its first score or read of ``densities``, never at
+    a fit or restore. Past _DIRECT_PATH_MAX its first score fills ``grid``
+    whole from a table it does not keep, or if the kernel spans the day fills
+    the _BLOCK minutes holding each score's minute (NaN marks the rest) from
+    the kept table. A profile without a grid computes ``densities`` on demand.
 
-    Two profiles are equal when their bandwidths, samples (in order) and
-    densities are all equal.
+    Profiles are equal when bandwidths, samples (in order) and densities are;
+    densities, set by those fields, are read only where ``circular`` differs.
     """
 
     bandwidth: float
     sample: np.ndarray
     circular: bool = False
+    table: np.ndarray | None = field(default=None, init=False, repr=False)
     grid: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -110,12 +112,22 @@ class KdeProfile:
             density_at(self, minute)
         return self.grid
 
+    def _table(self, keep: bool = True) -> np.ndarray:
+        if self.table is not None:
+            return self.table
+        table = _kernel_over(_FOLDED if self.circular else _DISTANCES, self.bandwidth)
+        table.setflags(write=False)
+        if keep:
+            object.__setattr__(self, "table", table)
+        return table
+
     def _fill(self, minute: int) -> float:
         # A pure function of the frozen fields: any engine fills the same bits.
-        # Only a binned fit (more than _DIRECT_PATH_MAX samples) keeps a grid.
+        table = self._table(keep=False)
         block = minute - minute % _BLOCK
-        grid = dens = _grid_part(self.sample, self.bandwidth, self.circular, block)
-        if dens.size < GRID_MINUTES:
+        grid = dens = _grid_part(self.sample, self.bandwidth, table, block)
+        if dens.size < GRID_MINUTES:  # one block: the next block's fill reuses the table
+            object.__setattr__(self, "table", table)
             grid = np.full(GRID_MINUTES, math.nan) if self.grid is None else self.grid
             grid.setflags(write=True)
             grid[block : block + _BLOCK] = dens
@@ -128,7 +140,8 @@ class KdeProfile:
             return NotImplemented
         return (self.bandwidth == other.bandwidth
                 and np.array_equal(self.sample, other.sample)
-                and np.array_equal(self.densities, other.densities))
+                and (self.circular == other.circular
+                     or np.array_equal(self.densities, other.densities)))
 
 
 def select_bandwidth(sample: Sequence[MinuteOfDay]) -> float:
@@ -167,44 +180,37 @@ def _kernel_over(dist: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(-0.5 * z * z) / _SQRT_TWO_PI
 
 
-def _scaled_table(bandwidth: float, circular: bool) -> np.ndarray:
-    """The kernel at offsets -1439..1439 (index 1439 is offset 0) times 2^64,
-    out to where it underflows. Its sums and dot products with integer counts
-    are 2^64 times the unscaled ones, bit for bit: a result subnormal unscaled
-    is exact (a multiple of 2^-1074); the scale commutes with any other."""
-    limit = GRID_MINUTES // 2 if circular else GRID_MINUTES - 1
-    span = bandwidth * _REACH_Z  # inf when the bandwidth is near float max
-    reach = limit if span >= limit else int(span)
-    table = np.zeros(2 * GRID_MINUTES - 1)
-    half = table[GRID_MINUTES - 1 : GRID_MINUTES + reach]  # offsets 0..reach
-    np.multiply(_kernel_over(_DISTANCES[: reach + 1], bandwidth), _SCALE, out=half)
-    if circular:
-        return table[GRID_MINUTES - 1 :][_CIRCULAR_OFFSETS]
-    table[GRID_MINUTES - 1 - reach : GRID_MINUTES - 1] = half[:0:-1]
-    return table
+def _scaled_table(table: np.ndarray) -> np.ndarray:
+    """The kernel ``table`` mirrored to offsets -1439..1439 (index 1439 is
+    offset 0), times 2^64. Its sums and dot products with integer counts are
+    2^64 times the unscaled ones, bit for bit: a result subnormal unscaled is
+    exact (a multiple of 2^-1074); the scale commutes with any other."""
+    return table[_OFFSETS] * _SCALE
 
 
 def _direct_sum(profile: KdeProfile, minutes: int | np.ndarray) -> np.ndarray:
     """The density at ``minutes``, an int or a column of them. The kernel's
-    terms are added left to right in sample order, as summing an m x 1440
-    stack over its first axis does; np.sum of one minute's m terms would add
-    them pairwise, with other low bits."""
+    terms (from the table past _TABLE_FREE_MAX samples) are added left to
+    right in sample order, as summing an m x 1440 stack over its first axis
+    does; np.sum of one minute's m terms would add them pairwise: other bits."""
     x = profile.sample
     dist = np.abs(x - minutes)
-    if profile.circular:
-        dist = np.minimum(dist, GRID_MINUTES - dist)
-    total = np.add.accumulate(_kernel_over(dist, profile.bandwidth), axis=-1)[..., -1]
+    if x.size > _TABLE_FREE_MAX:
+        terms = profile._table()[dist]
+    else:
+        terms = _kernel_over(_FOLDED[dist] if profile.circular else dist, profile.bandwidth)
+    total = np.add.accumulate(terms.T)[-1]  # axis=-1 would cost 0.5 us a score
     return total / (x.size * profile.bandwidth)
 
 
-def _grid_part(x: np.ndarray, h: float, circular: bool, block: int) -> np.ndarray:
+def _grid_part(x: np.ndarray, h: float, table: np.ndarray, block: int) -> np.ndarray:
     """The densities a score in the _BLOCK minutes from ``block`` fills: the
     whole grid, or only those minutes' if the kernel spans the day.
 
-    Minute g is output r + g of np.convolve(counts, k), k the table less its
-    exact-zero tails (L = 2r + 1). numpy computes each output with one dot
-    product, over the same slices, whichever outputs a call asks for."""
-    kernel = _scaled_table(h, circular)
+    Minute g is output r + g of np.convolve(counts, k), k the scaled table
+    less its exact-zero tails (L = 2r + 1). numpy computes each output with
+    one dot product, over the same slices, whichever outputs a call asks for."""
+    kernel = _scaled_table(table)
     counts = np.bincount(x, minlength=GRID_MINUTES).astype(np.float64)
     lo = 0 if kernel[0] != 0.0 else int((kernel != 0.0).argmax())
     k = kernel[lo : kernel.size - lo]
@@ -250,6 +256,7 @@ def density_at(profile: KdeProfile, minute: MinuteOfDay) -> float:
     if (type(minute) is not int and not isinstance(minute, np.integer)
             or not 0 <= minute < GRID_MINUTES):
         raise ValueError(f"minute must be an integer in [0, 1439], got {minute!r}")
+    minute = int(minute)  # x - np.uint64 would be float64, no table index
     grid = profile.grid
     if grid is not None:
         density = grid.item(minute)

@@ -19,7 +19,7 @@ from astd_monitor.detector import (
 from astd_monitor import kde
 from astd_monitor.kde import (
     _DIRECT_PATH_MAX,
-    _REACH_Z,
+    _TABLE_FREE_MAX,
     GRID_MINUTES,
     KdeProfile,
     _kernel_over,
@@ -227,14 +227,16 @@ def test_fit_binned_path_is_bit_exact_with_full_convolution(sample, bandwidth, c
     assert not densities.flags.writeable
 
 
-# Both grid paths sum the table scaled by 2^64, so no operation meets a
-# subnormal; that is exact only if the scaled table holds no subnormal and is
-# the full table to the bit. Every quarter octave of the accepted bandwidths,
-# and every tenth of a minute up to 60, where the tails turn subnormal.
+# Both grid paths sum the profile's kernel table mirrored and scaled by 2^64,
+# so no operation meets a subnormal; that is exact only if the scaled kernel
+# holds no subnormal and is the full kernel to the bit. Every quarter octave
+# of the accepted bandwidths, every tenth of a minute up to 60, where the
+# tails turn subnormal, and 1439 / sqrt(1520), where the kernel at the far
+# end of the day is exp(-760), past where exp underflows to +0.0.
 TABLE_BANDWIDTHS = sorted({math.ldexp(MIN_FIXED_BANDWIDTH * 2.0 ** (q % 4 / 4), q // 4)
                            for q in range(6100)}
                           | {t / 10 for t in range(1, 601)}
-                          | {(GRID_MINUTES - 1) / _REACH_Z, sys.float_info.max})
+                          | {(GRID_MINUTES - 1) / math.sqrt(1520.0), sys.float_info.max})
 
 
 @pytest.mark.parametrize("circular", [False, True])
@@ -247,7 +249,8 @@ def test_scaled_kernel_table_is_the_full_table_without_subnormals(circular):
 
     with_subnormals = []
     for h in TABLE_BANDWIDTHS:
-        table, full = _scaled_table(h, circular), _kernel_over(offsets, h)
+        profile = KdeProfile(h, np.array([0]), circular)
+        table, full = _scaled_table(profile._table()), _kernel_over(offsets, h)
         assert not np.any(subnormal(table)), h
         assert np.array_equal(table / 2.0 ** 64, full), h
         if np.any(subnormal(full)):
@@ -375,7 +378,7 @@ def test_unscored_densities_are_the_grid_the_first_score_builds(m, circular):
         assert scored.grid is None  # nor when the densities are read
     else:  # only the block that holds the scored minute
         filled = ~np.isnan(scored.grid)
-        assert _scaled_table(scored.bandwidth, circular)[0] != 0.0
+        assert scored.table[-1] != 0.0  # the kernel spans the day; the fills keep it
         block = np.arange(GRID_MINUTES) // kde._BLOCK == sample[-1] // kde._BLOCK
         assert np.array_equal(filled, block)
         assert np.array_equal(unscored[filled], scored.grid[filled])
@@ -385,7 +388,9 @@ def test_unscored_densities_are_the_grid_the_first_score_builds(m, circular):
     assert np.array_equal(unscored, oracle(sample, scored.bandwidth, circular))
 
 
-@pytest.mark.parametrize("m", [40, 300])  # direct sum, day-spanning binned grid
+# Direct sums without and with a table, and a day-spanning binned grid: a
+# restore builds neither a table nor a grid; a score builds what the path keeps.
+@pytest.mark.parametrize("m", [20, 40, 300])
 def test_restore_builds_no_grid_and_the_first_score_builds_one(monkeypatch, m):
     sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
     engine = MonitorEngine(DetectorConfig())
@@ -400,9 +405,10 @@ def test_restore_builds_no_grid_and_the_first_score_builds_one(monkeypatch, m):
     monkeypatch.setattr(kde, "_grid_part", counted)
     restored = restore_state(text)
     profile = restored.entity_state("u").profile
-    assert calls == [] and profile.grid is None
+    assert calls == [] and profile.grid is None and profile.table is None
     restored.process("e1", "u", 202225, sample[0])
     restored.process("e2", "u", 202225, sample[1])
+    assert (profile.table is None) == (m <= _TABLE_FREE_MAX)
     if m <= _DIRECT_PATH_MAX:  # direct sums: no grid, scored or read
         assert calls == [] and profile.grid is None
         densities = profile.densities
@@ -442,9 +448,23 @@ def test_density_at_refuses_a_bool_or_non_integer_minute(m, bandwidth):
     assert density_at(profile, np.uint16(0)) == profile.densities[0]
 
 
+# A numpy integer minute scores as the int it holds: a uint64 one would make
+# the sample's distances float64, no index into the kernel table, and an int8
+# one would overflow the block arithmetic. Evaluated per score, a table-lookup
+# direct sum, binned with a short kernel, binned with a day-spanning one.
+@pytest.mark.parametrize("m, bandwidth", [(20, None), (40, None), (300, 5.0), (300, 60.0)])
+@pytest.mark.parametrize("minute", [np.uint64(700), np.int8(100), np.uint16(1439)])
+def test_density_at_scores_a_numpy_integer_minute_as_its_int(m, bandwidth, minute):
+    sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
+    density = density_at(fit_profile(sample, bandwidth), minute)
+    assert type(density) is float
+    assert density.hex() == density_at(fit_profile(sample, bandwidth), int(minute)).hex()
+
+
 # Scoring without a grid must give the broadcast oracle's bits at every
-# minute, for every m the direct sum covers; one sample more, the binned grid
-# gives the full convolution's.
+# minute, for every m the direct sum covers, evaluated per score (m <= 32) or
+# looked up in the kernel table; one sample more, the binned grid gives the
+# full convolution's.
 @settings(deadline=None, max_examples=120)
 @given(shaped_samples(_DIRECT_PATH_MAX), bandwidths, st.booleans())
 @example([0] * 256, 0.5, True)
@@ -453,6 +473,11 @@ def test_density_at_refuses_a_bool_or_non_integer_minute(m, bandwidth):
 @example(CLUSTERED[:_DIRECT_PATH_MAX], None, False)
 @example(CLUSTERED[:_DIRECT_PATH_MAX + 1], None, False)
 @example(CLUSTERED[:_DIRECT_PATH_MAX + 1], 60.0, True)
+@example(CLUSTERED[:_TABLE_FREE_MAX], None, False)
+@example(CLUSTERED[:_TABLE_FREE_MAX], None, True)
+@example(CLUSTERED[:_TABLE_FREE_MAX + 1], None, False)
+@example(CLUSTERED[:_TABLE_FREE_MAX + 1], None, True)
+@example(CLUSTERED[:_TABLE_FREE_MAX + 1], MIN_FIXED_BANDWIDTH, False)
 def test_grid_free_density_at_is_bit_exact_with_broadcast(sample, bandwidth, circular):
     h = silverman_numpy(sample) if bandwidth is None else bandwidth
     profile = KdeProfile(h, np.array(sample), circular)
@@ -472,9 +497,64 @@ def test_small_window_profile_holds_no_grid(sample, circular):
     assert profile.grid is None
     assert profile.densities.shape == (GRID_MINUTES,)
     density_at(profile, sample[0])
-    # neither reading the densities nor scoring leaves a grid behind
+    # neither reading the densities nor scoring leaves a grid behind: only
+    # past _TABLE_FREE_MAX samples, the kernel table
     for value in vars(profile).values():
-        assert not (isinstance(value, np.ndarray) and value.size >= GRID_MINUTES)
+        assert not (isinstance(value, np.ndarray) and value.size >= GRID_MINUTES
+                    and value is not profile.table)
+    assert (profile.table is None) == (len(sample) <= _TABLE_FREE_MAX)
+
+
+# A profile of at most _TABLE_FREE_MAX samples never builds a kernel table,
+# scored or read; one sample more builds it at either, and keeps it.
+@pytest.mark.parametrize("m", [1, _TABLE_FREE_MAX, _TABLE_FREE_MAX + 1])
+@pytest.mark.parametrize("circular", [False, True])
+def test_only_a_profile_past_the_table_free_size_builds_a_table(m, circular):
+    sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
+    for read in (lambda p: density_at(p, sample[0]), lambda p: p.densities):
+        profile = fit_profile(sample, None, circular=circular)
+        assert profile.table is None  # the fit builds none
+        read(profile)
+        table = profile.table
+        read(profile)
+        assert profile.table is table  # kept, not rebuilt
+        assert (table is None) == (m <= _TABLE_FREE_MAX)
+        if table is not None:
+            assert not table.flags.writeable
+            assert table.shape == (GRID_MINUTES,)
+
+
+# A kernel that spans the day fills its grid in GRID_MINUTES / _BLOCK blocks,
+# all from the one table the first fill keeps: the kernel is evaluated once.
+@pytest.mark.parametrize("circular", [False, True])
+def test_block_fills_evaluate_the_kernel_once(monkeypatch, circular):
+    sample = list(range(0, GRID_MINUTES, 3))
+    profile = fit_profile(sample, 60.0, circular=circular)
+    kernels, fills = [], []
+    def kernel_over(*args, _kernel_over=kde._kernel_over):
+        kernels.append(args)
+        return _kernel_over(*args)
+    def grid_part(*args, _grid_part=kde._grid_part):
+        fills.append(args)
+        return _grid_part(*args)
+    monkeypatch.setattr(kde, "_kernel_over", kernel_over)
+    monkeypatch.setattr(kde, "_grid_part", grid_part)
+    densities = profile.densities
+    assert len(fills) == GRID_MINUTES // kde._BLOCK == 8
+    assert len(kernels) == 1
+    assert profile.table is not None and profile.table[-1] != 0.0
+    assert np.array_equal(densities, convolve_kde(sample, 60.0, circular))
+
+
+# A kernel shorter than the day fills the whole grid at the first score, from
+# a table it does not keep: no later fill would read it.
+@pytest.mark.parametrize("bandwidth", [5.0, 25.0])  # "same" with L <= 1440, L > 1440
+def test_a_whole_grid_fill_keeps_no_table(bandwidth):
+    profile = fit_profile(CLUSTERED, bandwidth)
+    density_at(profile, 600)
+    assert not np.isnan(profile.grid).any()
+    assert profile.table is None
+    assert np.array_equal(profile.densities, convolve_kde(CLUSTERED, bandwidth))
 
 
 @settings(deadline=None, max_examples=40)
@@ -572,3 +652,20 @@ def test_profiles_compare_by_bandwidth_sample_and_densities():
     assert profile != "profile"
     with pytest.raises(TypeError):
         hash(profile)
+
+
+# Densities follow from the bandwidth, the sample and the flag, so profiles
+# with the same flag compare without computing any: evaluated per score, a
+# table-lookup direct sum, binned.
+@pytest.mark.parametrize("m", [3, 40, 300])
+@pytest.mark.parametrize("circular", [False, True])
+def test_profiles_with_the_same_flag_compare_without_densities(monkeypatch, m, circular):
+    sample = rng.integers(0, GRID_MINUTES, size=m).tolist()
+    profile = fit_profile(sample, 5.0, circular=circular)
+    def unread(self):
+        raise AssertionError("densities computed")
+    monkeypatch.setattr(KdeProfile, "densities", property(unread))
+    assert profile == fit_profile(sample, 5.0, circular=circular)
+    assert profile != fit_profile(sample, 6.0, circular=circular)
+    assert profile != fit_profile(sample[::-1] + [0], 5.0, circular=circular)
+    assert profile.table is None and profile.grid is None
