@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 runtime failure (unreadable input, bad snapshot,
 failed trace checkpoint), 2 invalid configuration or an output naming an input
-or the other output.
+or the other output. Every failure of ``monitor run`` prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -144,8 +144,13 @@ def _file_id(path: str | int) -> object:
     return st.st_dev, st.st_ino
 
 
-class _AlertWriteError(Exception):
-    """Writing an alert failed; keeps sink errors apart from input errors."""
+class _Failure(Exception):
+    """Ends ``monitor run``: ``main`` prints ``error: <message>``, returns ``code``.
+    Not an OSError, so the input-read handler passes one from an alert write."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -157,18 +162,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         (args.state_out, (source, args.config))):
         if out is not None and any(i is not None and _file_id(i) == _file_id(out)
                                    for i in inputs):
-            print(f"error: output {out} is also an input file", file=sys.stderr)
-            return EXIT_CONFIG
+            raise _Failure(EXIT_CONFIG, f"output {out} is also an input file")
     if None not in (args.state_out, alerts) and _file_id(alerts) == _file_id(args.state_out):
-        print(f"error: --alerts and --state-out name the same file {alerts}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Failure(EXIT_CONFIG, f"--alerts and --state-out name the same file {alerts}")
     overrides = {field: value for field, _, _ in _CONFIG_KEYS.values()
                  if (value := getattr(args, field)) is not None}
-    try:
-        config = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(args.config, overrides)  # ConfigError: main exits 2
 
     initial_users = None
     if args.state_in is not None:
@@ -176,11 +175,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             with open(args.state_in, "r", encoding="utf-8") as fh:
                 restored = restore_state(fh.read())
         except OSError as exc:
-            print(f"error: cannot read state file {args.state_in}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise _Failure(EXIT_RUNTIME, f"cannot read state file {args.state_in}: {exc}")
         except RestoreError as exc:
-            print(f"error: bad state file {args.state_in}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise _Failure(EXIT_RUNTIME, f"bad state file {args.state_in}: {exc}")
         if (args.config is not None or overrides) and restored.config != config:
             print("warning: requested configuration differs from the snapshot's; "
                   "using the snapshot configuration for state consistency",
@@ -194,38 +191,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:  # strict UTF-8 whatever the locale; fd 0 stays open (EBADF if closed)
             source = files.enter_context(open(source, encoding="utf-8", closefd=source != 0))
         except OSError as exc:
-            print(f"error: cannot read input {args.input}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise _Failure(EXIT_RUNTIME, f"cannot read input {args.input}: {exc}")
         try:
             alert_file = (sys.stdout if alerts is None
                           else files.enter_context(open(alerts, "w", encoding="utf-8")))
         except OSError as exc:
-            print(f"error: cannot write alerts to {args.alerts}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise _Failure(EXIT_RUNTIME, f"cannot write alerts to {args.alerts}: {exc}")
 
         def emit(alert) -> None:
             try:
                 alert_file.write(alert_to_json(alert) + "\n")
                 alert_file.flush()
             except OSError as exc:
-                raise _AlertWriteError(exc) from exc
+                raise _Failure(EXIT_RUNTIME, f"cannot write alerts to {args.alerts}: {exc}")
 
         try:
             stats, engines = run_monitor(source, config, emit,
                                          initial_users=initial_users)
-        except _AlertWriteError as exc:
-            print(f"error: cannot write alerts to {args.alerts}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
         except (UnicodeDecodeError, OSError) as exc:
-            print(f"error: cannot read input {args.input}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise _Failure(EXIT_RUNTIME, f"cannot read input {args.input}: {exc}")
 
     if args.state_out is not None:
         try:
             _write_state(args.state_out, dump_state(engines))
         except OSError as exc:
-            print(f"error: cannot write state to {args.state_out}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise _Failure(EXIT_RUNTIME, f"cannot write state to {args.state_out}: {exc}")
 
     if args.stats:
         print(json.dumps(stats.to_dict()), file=sys.stderr)
@@ -246,9 +236,13 @@ def _cmd_replay_trace() -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
+    if args.command != "run":
+        return _cmd_replay_trace()
+    try:
         return _cmd_run(args)
-    return _cmd_replay_trace()
+    except (_Failure, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code if isinstance(exc, _Failure) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -119,13 +119,18 @@ class DetectorConfig:
         if self.bandwidth_method not in ("silverman", "fixed"):
             raise ConfigError(f"bandwidth_method must be 'silverman' or 'fixed', got {self.bandwidth_method!r}")
         if self.bandwidth_method == "fixed":
-            # A finite float too: the refit and restore take float(value).
+            # A finite float too: fixed_bandwidth takes float(value).
             if not (_is_number(self.bandwidth_value, (int, float))
                     and MIN_FIXED_BANDWIDTH <= self.bandwidth_value <= sys.float_info.max):
                 raise ConfigError(f"fixed bandwidth requires a finite bandwidth_value >= "
                                   f"{MIN_FIXED_BANDWIDTH!r}, got {self.bandwidth_value!r}")
         if not isinstance(self.circular, bool):
             raise ConfigError(f"circular must be a boolean, got {self.circular!r}")
+
+    @property
+    def fixed_bandwidth(self) -> float | None:
+        """The bandwidth of every refit, or None when each selects its own."""
+        return float(self.bandwidth_value) if self.bandwidth_method == "fixed" else None
 
     def to_dict(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -212,12 +217,11 @@ class EntityState:
             for a, b in zip(periods, periods[1:]):
                 if a >= b:
                     raise ValueError(f"{name} not strictly ascending: {a} before {b}")
-        if acc:  # both ascend, so used[-1] < acc[0] also rules out a shared week
-            if not used:
-                raise ValueError("accumulated periods present with an empty window")
-            if used[-1] >= acc[0]:
-                raise ValueError(f"accumulated period {acc[0]} does not follow "
-                                 f"window end {used[-1]}")
+        # Both ascend, so used[-1] < acc[0] also rules out a shared week;
+        # accumulated weeks behind no used week fail the n check below.
+        if acc and used and used[-1] >= acc[0]:
+            raise ValueError(f"accumulated period {acc[0]} does not follow "
+                             f"window end {used[-1]}")
         if events.keys() != {*used, *acc}:
             raise ValueError(f"events_by_week weeks {sorted(events)} are not "
                              f"the used and accumulated weeks {sorted({*used, *acc})}")
@@ -316,9 +320,8 @@ def refresh_profile(attrs: MutableMapping[str, Any], config: DetectorConfig) -> 
     sample = [m for p in used for m in events[p]]
     if not sample:
         raise AssertionError("profile refresh requested with no training data")
-    if config.bandwidth_method == "fixed":
-        bandwidth = float(config.bandwidth_value)
-    else:
+    bandwidth = config.fixed_bandwidth
+    if bandwidth is None:
         bandwidth = select_bandwidth(sample)
     attrs["user_kde"] = fit_profile(sample, bandwidth, circular=config.circular)
     attrs["profile_counts"] = {p: len(events[p]) for p in used}

@@ -67,17 +67,15 @@ _SCALE = 2.0 ** 64
 class KdeProfile:
     """A fitted profile: the sample (in fit order), the bandwidth and the
     distance rule that produced it. ``fit_profile(sample, bandwidth, circular)``
-    rebuilds the same densities bit for bit.
+    rebuilds the same densities bit for bit, so profiles are equal when those
+    three fields are.
 
-    Past _TABLE_FREE_MAX samples it keeps the kernel at each distance 0..1439
-    in ``table``, built at its first score or read of ``densities``, never at
-    a fit or restore. Past _DIRECT_PATH_MAX its first score fills ``grid``
-    whole from a table it does not keep, or if the kernel spans the day fills
-    the _BLOCK minutes holding each score's minute (NaN marks the rest) from
-    the kept table. A profile without a grid computes ``densities`` on demand.
-
-    Profiles are equal when bandwidths, samples (in order) and densities are;
-    densities, set by those fields, are read only where ``circular`` differs.
+    A fit or restore builds nothing else (the module docstring says which
+    profiles build what). ``table``, the kernel at each distance 0..1439, is
+    built at the first score or read of ``densities`` that uses it, and kept
+    unless a whole grid was filled from it. ``grid``, the density at each
+    minute (NaN where a block is not filled yet), is filled at scores of a
+    binned fit; without one, ``densities`` are computed on demand.
     """
 
     bandwidth: float
@@ -138,10 +136,8 @@ class KdeProfile:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KdeProfile):
             return NotImplemented
-        return (self.bandwidth == other.bandwidth
-                and np.array_equal(self.sample, other.sample)
-                and (self.circular == other.circular
-                     or np.array_equal(self.densities, other.densities)))
+        return (self.bandwidth == other.bandwidth and self.circular == other.circular
+                and np.array_equal(self.sample, other.sample))
 
 
 def select_bandwidth(sample: Sequence[MinuteOfDay]) -> float:

@@ -242,16 +242,6 @@ def dump_state(engine: MonitorEngine | Sequence[MonitorEngine]) -> dict[str, Any
     }
 
 
-def _require(mapping: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
-    if key not in mapping:
-        raise RestoreError(f"{where}: missing key {key!r}")
-    value = mapping[key]
-    if not isinstance(value, kind):
-        raise RestoreError(f"{where}.{key}: expected {kind.__name__}, "
-                           f"got {type(value).__name__}")
-    return value
-
-
 def _is_minute_list(values: list[Any]) -> bool:
     """Whether every value is an int (not a bool) minute of the day."""
     for m in values:
@@ -286,13 +276,12 @@ def _profile_from_json(data: Any, where: str, used: dict[int, list[int]],
     # The refit's own bandwidth rule and fit on the refit's own sample:
     # bit-identical densities. Called through kde's names, not detector's,
     # which bench/tracer.py wraps to count the run's own refits.
-    bandwidth = (float(config.bandwidth_value) if config.bandwidth_method == "fixed"
-                 else None)
-    return (fit_profile(sample, bandwidth, circular=config.circular),
+    return (fit_profile(sample, config.fixed_bandwidth, circular=config.circular),
             {p: c for p, c in zip(used, counts) if c})
 
 
-_USER_KEYS = ("weeks", "used", "alerts", "profile")
+# Each key of a snapshot user and its JSON type; a null profile is "no profile".
+_USER_KEYS = {"weeks": dict, "used": int, "alerts": list, "profile": object}
 
 
 def _state_from_json(data: Any, where: str) -> EntityState:
@@ -303,9 +292,14 @@ def _state_from_json(data: Any, where: str) -> EntityState:
     unknown = sorted(set(data).difference(_USER_KEYS))
     if unknown:
         raise RestoreError(f"{where}: unknown key {unknown[0]!r}")
-    raw_weeks = _require(data, "weeks", dict, where)
+    for key, kind in _USER_KEYS.items():
+        if key not in data:
+            raise RestoreError(f"{where}: missing key {key!r}")
+        if not isinstance(data[key], kind):
+            raise RestoreError(f"{where}.{key}: expected {kind.__name__}, "
+                               f"got {type(data[key]).__name__}")
     weeks: dict[int, list[int]] = {}
-    for raw_period, minutes in raw_weeks.items():
+    for raw_period, minutes in data["weeks"].items():
         try:
             period = int(raw_period)
         except (TypeError, ValueError):
@@ -315,16 +309,13 @@ def _state_from_json(data: Any, where: str) -> EntityState:
         if not isinstance(minutes, list):
             raise RestoreError(f"{where}.weeks[{raw_period}]: expected a list")
         weeks[period] = minutes
-    used = _require(data, "used", int, where)
+    used = data["used"]
     if isinstance(used, bool) or not 0 < used <= len(weeks):
         raise RestoreError(f"{where}.used: expected an integer in [1, {len(weeks)}], "
                            f"got {used!r}")
-    alerts = _require(data, "alerts", list, where)
-    if "profile" not in data:  # null is "no profile"; a lost key must not read as one
-        raise RestoreError(f"{where}: missing key 'profile'")
     periods = list(weeks)  # check_invariants checks that they ascend
     return EntityState(events_by_week=weeks, used_periods=periods[:used],
-                       accumulated_periods=periods[used:], profile=None, alerts=alerts)
+                       accumulated_periods=periods[used:], profile=None, alerts=data["alerts"])
 
 
 @gc_paused()

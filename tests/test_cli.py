@@ -402,6 +402,27 @@ def test_run_failed_alert_write_exits_1_naming_the_alerts(tmp_path, trace_input,
     assert not state.exists()
 
 
+# Each file monitor run cannot open ends the run with its exit code and one
+# error line naming the file, and writes no snapshot.
+@pytest.mark.parametrize("flag,code,message", [
+    ("--config", 2, "cannot read config file"),
+    ("--state-in", 1, "cannot read state file"),
+    ("--alerts", 1, "cannot write alerts to"),
+])
+def test_run_unopenable_file_exits_with_one_error_line(tmp_path, trace_input, capsys,
+                                                       flag, code, message):
+    missing = tmp_path / "no-such-dir" / "file"
+    state = tmp_path / "state.json"
+    args = {"--input": str(trace_input), "--alerts": str(tmp_path / "a.ldjson"),
+            "--state-out": str(state), flag: str(missing)}
+    assert run_cli(["run", *(part for pair in args.items() for part in pair)]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {message} {missing}: ")
+    assert not state.exists()
+
+
 def test_run_corrupt_state_in_exits_1(tmp_path, trace_input, config_file, capsys):
     snapshot = tmp_path / "state.json"
     snapshot.write_text('{"schema": "astd-monitor/state/2", "config"')

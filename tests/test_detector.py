@@ -616,7 +616,11 @@ def test_invariants_accept_a_valid_state():
     (dict(used_periods=[202225, 202225]), "ascending"),
     (dict(used_periods=[202225], accumulated_periods=[202225]), "does not follow"),
     (dict(used_periods=[202227], accumulated_periods=[202226]), "follow"),
-    (dict(used_periods=[], accumulated_periods=[202226]), "empty window"),
+    # Accumulated weeks behind an empty window: refused by the n check.
+    pytest.param(dict(events_by_week={202226: [600]}, used_periods=[],
+                      accumulated_periods=[202226]),
+                 "accumulated weeks behind a window short of n = 3 weeks or k = 10 events "
+                 "\\(weeks: 0, events: 0\\)", id="empty-window"),
     (dict(used_periods=[202225, 202226]), "not the used and accumulated weeks"),
     (dict(events_by_week={202225: [2000]}), "out of range"),
     (dict(alerts=[42]), "not a string"),
@@ -630,6 +634,7 @@ def test_invariants_accept_a_valid_state():
      "accumulated_periods: True is not an integer"),
     (dict(profile_counts={202225: 1}), "profile counts of weeks \\[202225\\] that are not "
      "used weeks of a profile"),
+    (dict(profile="x"), "profile has unexpected type str"),
 ])
 def test_invariants_reject_corrupt_states(overrides, message):
     with pytest.raises(ValueError, match=message):

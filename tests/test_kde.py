@@ -643,8 +643,10 @@ def test_profiles_compare_by_bandwidth_sample_and_densities():
     assert not profile != fit_profile([1, 2, 3], 5.0)
     assert profile != fit_profile([1, 2, 3], 6.0)         # bandwidth
     assert profile != fit_profile([3, 2, 1], 5.0)         # sample order
-    assert profile != KdeProfile(5.0, profile.sample, circular=True)  # densities
+    assert profile != KdeProfile(5.0, profile.sample, circular=True)  # distance rule
     assert profile == KdeProfile(5.0, profile.sample)
+    # No kernel term reaches past 720 minutes, yet the flags differ.
+    assert fit_profile([700], 5.0) != fit_profile([700], 5.0, circular=True)
     sample = list(range(600, 640))
     scored = fit_profile(sample, 5.0)
     density_at(scored, 600)

@@ -411,6 +411,11 @@ def test_restore_refuses_text_the_decoder_refuses(text):
         restore_state(text)
 
 
+def test_restore_refuses_a_document_that_is_not_an_object():
+    with pytest.raises(RestoreError, match="^snapshot: expected a JSON object$"):
+        restore_state("[]")
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("call", ["restore", "restore-corrupt", "export", "export-mid-step",
                                   "readopt", "readopt-unreachable", "dump",
@@ -539,6 +544,18 @@ PROFILE_KEYS = ("profile: expected null or an object with exactly the keys 'drop
     # The state/2 keys are unknown to a state/4 user object.
     (lambda d: _user(d).update(used_periods=[202226]), "used_periods"),
     (lambda d: _user(d).update(start_kde=False), "start_kde"),
+    pytest.param(lambda d: d.update(config=[]), "^config: expected an object$",
+                 id="config-not-an-object"),
+    pytest.param(lambda d: d.update(users=[]), "^users: expected an object$",
+                 id="users-not-an-object"),
+    pytest.param(lambda d: _user(d).update(weeks=[]),
+                 "^users\\['u1'\\].weeks: expected dict, got list$", id="weeks-a-list"),
+    pytest.param(lambda d: _user(d).update(alerts={}),
+                 "^users\\['u1'\\].alerts: expected list, got dict$", id="alerts-an-object"),
+    pytest.param(lambda d: _user(d).update(used="4"),
+                 "^users\\['u1'\\].used: expected int, got str$", id="used-a-string"),
+    pytest.param(lambda d: _user(d)["weeks"].update({"202226": 600}),
+                 "^users\\['u1'\\].weeks\\[202226\\]: expected a list$", id="week-a-number"),
     (lambda d: _user(d)["weeks"].update({"xyz": [1]}), "bad period key"),
     (lambda d: (_reorder_weeks(d, ["202228", "202226", "202227", "202229"]),
                 _user(d).update(profile=None)), "ascending"),
